@@ -1,9 +1,16 @@
 //! GF(2^8) arithmetic with the primitive polynomial
 //! x^8 + x^4 + x^3 + x^2 + 1 (0x11D), generator α = 2.
 //!
-//! Multiplication goes through log/exp tables — the same structure the
-//! paper's RTL encoder implements as BRAM lookups — built once at first
-//! use and shared process-wide.
+//! Scalar multiplication goes through log/exp tables — the same
+//! structure the paper's RTL encoder implements as BRAM lookups — built
+//! once at first use and shared process-wide.
+//!
+//! The encoder's bulk operation, [`mul_slice_xor`], uses the
+//! split-nibble product tables of ISA-L instead: for a coefficient `c`,
+//! two 16-entry tables `c·x` and `c·(x << 4)`.  On x86-64 hosts with
+//! AVX2 (detected at run time, at each call) each 32-byte block is two
+//! `vpshufb` lookups and two XORs.  Otherwise it is one lookup per byte
+//! into the 256-entry product row of `c`.  Both give the same bytes.
 
 use std::sync::OnceLock;
 
@@ -119,43 +126,83 @@ impl Gf256 {
 ///
 /// This is the inner loop of the encoder; the RTL implementation streams
 /// 32 bytes/cycle through the equivalent multiplier array (256-bit
-/// datapath, §IV-A).
+/// datapath, §IV-A).  On x86-64 hosts with AVX2 the host does the same:
+/// each 32-byte block is two `vpshufb` lookups into the split-nibble
+/// tables of `c`.  Elsewhere, and for the `len % 32` tail, one lookup
+/// per byte into the 256-entry product row of `c`.
+///
+/// # Panics
+/// Panics unless `src` and `dst` have the same length.
 pub fn mul_slice_xor(c: Gf256, src: &[u8], dst: &mut [u8]) {
+    // The AVX2 kernel's block loop relies on this.
     assert_eq!(src.len(), dst.len(), "slice length mismatch");
     if c.0 == 0 {
         return;
     }
-    if c.0 == 1 {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2 (checked just above), and the
+        // lengths are equal (asserted above).
+        unsafe { mul_slice_xor_avx2(c, src, dst) };
         return;
     }
-    let t = tables();
-    let log_c = t.log[c.0 as usize] as usize;
+    mul_slice_xor_portable(c, src, dst);
+}
+
+/// The split-nibble product tables of `c`: `lo[x] = c·x` and
+/// `hi[x] = c·(x << 4)` for every nibble `x`.  Multiplication
+/// distributes over XOR, so `c·s = lo[s & 15] ⊕ hi[s >> 4]`.
+fn nibble_tables(c: Gf256) -> ([u8; 16], [u8; 16]) {
+    let lo = std::array::from_fn(|x| c.mul(Gf256(x as u8)).0);
+    let hi = std::array::from_fn(|x| c.mul(Gf256((x as u8) << 4)).0);
+    (lo, hi)
+}
+
+/// The portable kernel — the only one on hosts without AVX2, and the
+/// AVX2 kernel's tail: the product row `c·x` for all 256 bytes, then
+/// one lookup per byte.
+fn mul_slice_xor_portable(c: Gf256, src: &[u8], dst: &mut [u8]) {
+    let (lo, hi) = nibble_tables(c);
+    let row: [u8; 256] = std::array::from_fn(|x| lo[x & 15] ^ hi[x >> 4]);
     for (d, &s) in dst.iter_mut().zip(src) {
-        if s != 0 {
-            *d ^= t.exp[log_c + t.log[s as usize] as usize];
-        }
+        *d ^= row[s as usize];
     }
 }
 
-/// Multiply a byte slice by a scalar in place: `dst[i] = c · dst[i]`.
-pub fn mul_slice(c: Gf256, dst: &mut [u8]) {
-    if c.0 == 0 {
-        dst.fill(0);
-        return;
-    }
-    if c.0 == 1 {
-        return;
-    }
-    let t = tables();
-    let log_c = t.log[c.0 as usize] as usize;
-    for d in dst.iter_mut() {
-        if *d != 0 {
-            *d = t.exp[log_c + t.log[*d as usize] as usize];
+/// The AVX2 kernel: 32 bytes per step, the portable kernel for the tail.
+///
+/// # Safety
+/// The CPU must support AVX2, and `src.len() == dst.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mul_slice_xor_avx2(c: Gf256, src: &[u8], dst: &mut [u8]) {
+    use std::arch::x86_64::*;
+    let (lo, hi) = nibble_tables(c);
+    // SAFETY: each table is 16 bytes, the width of an unaligned
+    // 128-bit load.
+    let (lo, hi) = unsafe {
+        (
+            _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast())),
+            _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast())),
+        )
+    };
+    let nibble = _mm256_set1_epi8(0x0f);
+    let body = src.len() - src.len() % 32;
+    for i in (0..body).step_by(32) {
+        // SAFETY: `i + 32 <= body <= src.len() == dst.len()`, so both
+        // 32-byte accesses at offset `i` are in bounds; the unaligned
+        // load and store forms have no alignment requirement.
+        unsafe {
+            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
+            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
+            let p = _mm256_xor_si256(
+                _mm256_shuffle_epi8(lo, _mm256_and_si256(s, nibble)),
+                _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), nibble)),
+            );
+            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, p));
         }
     }
+    mul_slice_xor_portable(c, &src[body..], &mut dst[body..]);
 }
 
 #[cfg(test)]
@@ -240,27 +287,76 @@ mod tests {
         assert!(!seen[0]);
     }
 
+    /// `dst[i] ^= c · src[i]`, byte by byte through the log/exp tables.
+    fn reference(c: Gf256, src: &[u8], dst: &mut [u8]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d ^= c.mul(Gf256(s)).0;
+        }
+    }
+
+    type Kernel = fn(Gf256, &[u8], &mut [u8]);
+
+    /// The kernel the host selects, and the portable one called
+    /// directly so it is checked on AVX2 hosts too.
+    const KERNELS: [(&str, Kernel); 2] = [
+        ("selected", mul_slice_xor),
+        ("portable", mul_slice_xor_portable),
+    ];
+
     #[test]
     fn mul_slice_xor_matches_scalar() {
         let src: Vec<u8> = (0..=255).collect();
-        let mut dst = vec![0u8; 256];
-        let c = Gf256(0x1D);
-        mul_slice_xor(c, &src, &mut dst);
-        for (i, &d) in dst.iter().enumerate() {
-            assert_eq!(d, c.mul(Gf256(i as u8)).0);
+        for c in 0..=255u8 {
+            for (name, kernel) in KERNELS {
+                let mut dst = vec![0u8; 256];
+                kernel(Gf256(c), &src, &mut dst);
+                for (i, &d) in dst.iter().enumerate() {
+                    assert_eq!(d, Gf256(c).mul(Gf256(i as u8)).0, "{name} c={c} x={i}");
+                }
+                // XOR-accumulate again → zero.
+                kernel(Gf256(c), &src, &mut dst);
+                assert!(dst.iter().all(|&b| b == 0), "{name} c={c}");
+            }
         }
-        // XOR-accumulate again → zero.
-        let mut dst2 = dst.clone();
-        mul_slice_xor(c, &src, &mut dst2);
-        assert!(dst2.iter().all(|&b| b == 0));
+    }
+
+    /// Lengths 0..=97 cover empty input, sub-block input, the 32-byte
+    /// body and every tail length; offsets 0..=3 misalign both slices.
+    /// Whole buffers are compared, so a write outside `dst` shows too.
+    #[test]
+    fn kernels_match_reference_at_every_length_and_offset() {
+        let mut x: u32 = 0x2545_f491;
+        let mut bytes = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                    (x >> 24) as u8
+                })
+                .collect()
+        };
+        for c in 0..=255u8 {
+            let src_buf = bytes(100);
+            let dst_buf = bytes(100);
+            for len in 0..=97 {
+                for so in 0..=3 {
+                    for dof in 0..=3 {
+                        let src = &src_buf[so..so + len];
+                        let mut want = dst_buf.clone();
+                        reference(Gf256(c), src, &mut want[dof..dof + len]);
+                        for (name, kernel) in KERNELS {
+                            let mut got = dst_buf.clone();
+                            kernel(Gf256(c), src, &mut got[dof..dof + len]);
+                            assert_eq!(got, want, "{name} c={c} len={len} src+{so} dst+{dof}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn mul_slice_special_cases() {
-        let mut d = vec![1u8, 2, 3];
-        mul_slice(Gf256::ONE, &mut d);
-        assert_eq!(d, vec![1, 2, 3]);
-        mul_slice(Gf256::ZERO, &mut d);
-        assert_eq!(d, vec![0, 0, 0]);
+    #[should_panic(expected = "slice length mismatch")]
+    fn mismatched_lengths_panic() {
+        mul_slice_xor(Gf256(3), &[0u8; 33], &mut [0u8; 32]);
     }
 }

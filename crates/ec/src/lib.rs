@@ -14,8 +14,10 @@
 //! baseline and the FPGA accelerator model:
 //!
 //! * [`gf256`] — arithmetic in GF(2^8) with the 0x11D polynomial (the
-//!   same field ISA-L and jerasure use), log/exp tables built at first
-//!   use;
+//!   same field ISA-L and jerasure use): log/exp tables built at first
+//!   use for scalars, and ISA-L's split-nibble product tables for the
+//!   encoder's slice multiply-accumulate, with an AVX2 kernel selected
+//!   at run time and a portable one elsewhere;
 //! * [`matrix`] — dense matrices over the field, with inversion;
 //! * [`rs`] — systematic Reed-Solomon codes from Vandermonde-derived
 //!   encoding matrices: [`rs::ReedSolomon::encode`] and

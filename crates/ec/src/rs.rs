@@ -325,6 +325,79 @@ mod tests {
         }
     }
 
+    /// FNV-1a (64-bit) over a shard.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// 128 KiB of xorshift64 output from a fixed seed.
+    fn seeded_payload() -> Vec<u8> {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        (0..128 * 1024)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Pins the shard bytes of a 128 KiB write, whichever GF(2^8)
+    /// kernel the host selects.  The digests are those of a byte-at-a-time
+    /// log/exp multiply-accumulate.
+    #[test]
+    fn golden_shard_digests() {
+        let data = seeded_payload();
+        let golden: [(usize, usize, &[u64]); 2] = [
+            (
+                4,
+                2,
+                &[
+                    0xfa45_a54e_6038_d493,
+                    0x978b_eeb2_cbd8_2e03,
+                    0xcbe8_7c5c_9a8f_9eb7,
+                    0xd28a_2696_b4fa_d89a,
+                    0xee27_ae0d_00df_f6b3,
+                    0xf3d1_bcc3_2ca2_865d,
+                ],
+            ),
+            (
+                8,
+                4,
+                &[
+                    0x0b19_ee10_2c6b_6f41,
+                    0x9648_bb9b_b137_674f,
+                    0xfa69_6d15_652c_75f3,
+                    0x674c_d7ae_d488_6809,
+                    0x2cb9_3056_dbef_7173,
+                    0xb006_9476_d62d_2851,
+                    0x5991_be1f_d488_7ce8,
+                    0x1c0f_9711_bbdc_418f,
+                    0x4f71_8a91_28cb_654c,
+                    0x4830_497b_5406_5355,
+                    0xc6fb_e540_a214_2e00,
+                    0x6b77_f949_c418_a23f,
+                ],
+            ),
+        ];
+        for (k, m, want) in golden {
+            let rs = ReedSolomon::new(k, m);
+            let shards = rs.encode(&data);
+            let got: Vec<u64> = shards.iter().map(|s| fnv1a(s)).collect();
+            assert_eq!(got, want, "RS({k},{m}) shard digests");
+            // Lose the first m data shards and rebuild them.
+            let mut opt: Vec<Option<Vec<u8>>> = shards.into_iter().map(Some).collect();
+            for s in opt.iter_mut().take(m) {
+                *s = None;
+            }
+            rs.reconstruct(&mut opt).unwrap();
+            assert_eq!(rs.join(&opt, data.len()), data, "RS({k},{m}) round trip");
+        }
+    }
+
     #[test]
     fn empty_data_encodes() {
         let rs = ReedSolomon::new(4, 2);
