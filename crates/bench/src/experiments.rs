@@ -858,7 +858,7 @@ pub fn breakdown() -> Experiment {
 /// wall-clock is nondeterministic it is deliberately *excluded* from
 /// `harness all`, whose output must stay bit-reproducible.
 pub fn perf() -> Experiment {
-    use deliba_sim::{EventQueue, ShardedEventQueue, SimDuration, SimTime};
+    use deliba_sim::{EventQueue, SimDuration, SimTime};
     use std::time::Instant;
 
     // Reference workload: the Fig. 7 headline cell (DeLiBA-K hardware
@@ -1039,144 +1039,25 @@ pub fn perf() -> Experiment {
     let queue_wall = t0.elapsed().as_secs_f64();
     let queue_evps = CHURN as f64 / queue_wall.max(1e-9);
 
-    // Lane churn: the regime the engine's per-lane sub-queues live in.
-    // Each of 32 lanes carries a deep stream of completions with a
-    // stable per-lane service delta, so successive pushes into one lane
-    // ascend in time — the sharded queue appends them in O(1) behind a
-    // 32-entry frontier, where the single heap sifts every event through
-    // a 4096-deep heap.  Both structures run the identical event stream;
-    // the speedup cell is their ratio.
-    const LANES: usize = 32;
-    const LANE_DEPTH: u64 = 128;
-    let lane_delta = |lane: usize| SimDuration::from_nanos(1 + ((lane as u64 * 137) & 1023));
-    let lane_churn_single = || -> f64 {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(LANES * LANE_DEPTH as usize);
-        for i in 0..LANES as u64 * LANE_DEPTH {
-            q.schedule_at(SimTime::from_nanos(i), i);
-        }
-        let t0 = Instant::now();
-        for _ in 0..CHURN {
-            let (at, v) = q.pop().expect("queue stays populated");
-            q.schedule_at(at + lane_delta(v as usize % LANES), v);
-        }
-        CHURN as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let lane_churn_sharded = || -> f64 {
-        let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(LANES);
-        for i in 0..LANES as u64 * LANE_DEPTH {
-            q.schedule_at(i as usize % LANES, SimTime::from_nanos(i), i);
-        }
-        let t0 = Instant::now();
-        for _ in 0..CHURN {
-            let (at, v) = q.pop().expect("queue stays populated");
-            let lane = v as usize % LANES;
-            q.schedule_at(lane, at + lane_delta(lane), v);
-        }
-        CHURN as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    // Best of 3 each — a scheduler hiccup in either leg would fake a
-    // ratio shift in both directions.
-    let lane_single_evps = (0..3).map(|_| lane_churn_single()).fold(0.0, f64::max);
-    let sharded_evps = (0..3).map(|_| lane_churn_sharded()).fold(0.0, f64::max);
-    let sharded_speedup = sharded_evps / lane_single_evps.max(1e-9);
-
-    // Intra-run parallelism, engine shape: an EC-write cell, whose
-    // serial wall-clock is dominated by lane-local compute (payload
-    // fill, FNV checksum, RS(4, 2) arithmetic), run once serially and
-    // once with the prepare worker pool sized to the machine.  Both
-    // runs produce byte-identical reports (pinned by the differential
-    // suite); the cells expose the wall-clock ratio.  On a single-core
-    // runner the pool is size 1 and the ratio reads ~1.0 — CI floors
-    // apply only when the machine actually has cores to win on.
-    let pool_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Byte-heavy engine cell: EC writes, whose wall-clock is dominated
+    // by payload fill, FNV checksum and RS(4, 2) arithmetic rather than
+    // event churn.  Best of 3 fresh engines, like the reference cell.
     let ec_spec = FioSpec::paper(RwMode::Write, Pattern::Rand, 16384, CELL_OPS);
-    let ec_wall = |threads: usize| -> f64 {
-        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding)
-            .with_sim_threads(threads);
-        let mut e = Engine::new(cfg);
-        let t0 = Instant::now();
-        let r = e.run_fio(&ec_spec);
-        assert_eq!(r.verify_failures, 0);
-        t0.elapsed().as_secs_f64()
-    };
-    // Interleaved best-of-3 per leg, for the same reason the recorder
-    // cells pair their runs: cross-batch drift must hit both legs.
-    let mut ec_serial_wall = f64::INFINITY;
-    let mut ec_pool_wall = f64::INFINITY;
-    for _ in 0..3 {
-        ec_serial_wall = ec_serial_wall.min(ec_wall(1));
-        ec_pool_wall = ec_pool_wall.min(ec_wall(pool_threads));
-    }
-    let prepare_speedup = ec_serial_wall / ec_pool_wall.max(1e-9);
-
-    // Intra-run parallelism, fleet shape: a 32-lane big-cluster gauge
-    // driven through the sim-level window executor, with synthetic
-    // lane-local work standing in for per-OSD compute.  Every thread
-    // count merges to identical state (pinned by the sim differential
-    // tests); the cells expose the event rate and its scaling.
-    const GAUGE_LANES: usize = 32;
-    const GAUGE_HOPS: u64 = 256;
-    struct GaugeLane {
-        acc: u64,
-    }
-    impl deliba_sim::LaneState for GaugeLane {}
-    struct GaugeModel {
-        step: SimDuration,
-    }
-    impl deliba_sim::SharedState for GaugeModel {}
-    let gauge_evps = |threads: usize| -> f64 {
-        let model = GaugeModel { step: SimDuration::from_nanos(1_000) };
-        let mut q: ShardedEventQueue<u64> = ShardedEventQueue::new(GAUGE_LANES);
-        q.set_lookahead(SimDuration::from_nanos(1_000));
-        for lane in 0..GAUGE_LANES {
-            q.schedule_at(lane, SimTime::from_nanos(lane as u64), 0u64);
-        }
-        let mut lanes: Vec<GaugeLane> =
-            (0..GAUGE_LANES).map(|l| GaugeLane { acc: l as u64 }).collect();
-        let handler = |m: &GaugeModel,
-                       shard: usize,
-                       lane: &mut GaugeLane,
-                       at: SimTime,
-                       hop: u64,
-                       fx: &mut deliba_sim::Effects<u64, ()>| {
-            // A few µs of lane-local arithmetic per event — the scale
-            // of one op's payload + checksum work.
-            let mut x = lane.acc ^ hop;
-            for _ in 0..4096 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            }
-            lane.acc = x;
-            if hop + 1 < GAUGE_HOPS {
-                fx.schedule(shard, at + m.step, hop + 1);
-            }
-        };
-        let mut ex = deliba_sim::WindowExecutor::new(threads);
-        let mut done = 0usize;
-        let t0 = Instant::now();
-        loop {
-            match ex.run_window(&mut q, &mut lanes, &model, &handler, &mut |_, _: ()| {}, None) {
-                deliba_sim::WindowOutcome::Empty => break,
-                deliba_sim::WindowOutcome::Clipped(_) => unreachable!("no clip configured"),
-                deliba_sim::WindowOutcome::Executed(n) => done += n,
-            }
-        }
-        done as f64 / t0.elapsed().as_secs_f64().max(1e-9)
-    };
-    let mut gauge_serial_evps = 0.0f64;
-    let mut gauge_pool_evps = 0.0f64;
-    for _ in 0..3 {
-        gauge_serial_evps = gauge_serial_evps.max(gauge_evps(1));
-        gauge_pool_evps = gauge_pool_evps.max(gauge_evps(pool_threads));
-    }
-    let gauge_speedup = gauge_pool_evps / gauge_serial_evps.max(1e-9);
+    let ec_wall = (0..3)
+        .map(|_| {
+            let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::ErasureCoding);
+            let mut e = Engine::new(cfg);
+            let t0 = Instant::now();
+            let r = e.run_fio(&ec_spec);
+            assert_eq!(r.verify_failures, 0);
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
 
     Experiment {
         id: "perf".into(),
         caption: "harness perf gate: wall-clock + events/sec on the reference workload".into(),
         cells: vec![
-            // Cell configs name their thread/shard configuration: the
-            // reference cells run the serial commit loop (1 thread,
-            // sharded queue), the parallel cells below name the pool.
             Cell {
                 config: "engine closed loop (1 thread)".into(),
                 workload: r.workload.clone(),
@@ -1259,27 +1140,6 @@ pub fn perf() -> Experiment {
                 paper: None,
             },
             Cell {
-                config: "sharded queue".into(),
-                workload: "lane churn (single heap)".into(),
-                unit: "ev/s",
-                measured: lane_single_evps,
-                paper: None,
-            },
-            Cell {
-                config: "sharded queue".into(),
-                workload: "lane churn (sharded)".into(),
-                unit: "ev/s",
-                measured: sharded_evps,
-                paper: None,
-            },
-            Cell {
-                config: "sharded queue".into(),
-                workload: "sharded queue speedup".into(),
-                unit: "x",
-                measured: sharded_speedup,
-                paper: None,
-            },
-            Cell {
                 config: "flight recorder".into(),
                 workload: "untraced events per second".into(),
                 unit: "ev/s",
@@ -1335,57 +1195,11 @@ pub fn perf() -> Experiment {
                 measured: tele_recording_overhead,
                 paper: None,
             },
-            // Intra-run parallelism.  "pool" cells run with the machine
-            // width recorded in the "prepare pool threads" cell, so a
-            // reader of BENCH_harness.json knows which configuration
-            // produced the ratio (1.0 is expected on a 1-core box).
             Cell {
                 config: "engine EC write (1 thread)".into(),
                 workload: "wall clock".into(),
                 unit: "s",
-                measured: ec_serial_wall,
-                paper: None,
-            },
-            Cell {
-                config: "engine EC write (prepare pool)".into(),
-                workload: "wall clock".into(),
-                unit: "s",
-                measured: ec_pool_wall,
-                paper: None,
-            },
-            Cell {
-                config: "engine EC write (prepare pool)".into(),
-                workload: "prepare pool threads".into(),
-                unit: "threads",
-                measured: pool_threads as f64,
-                paper: None,
-            },
-            Cell {
-                config: "engine EC write (prepare pool)".into(),
-                workload: "prepare speedup".into(),
-                unit: "x",
-                measured: prepare_speedup,
-                paper: None,
-            },
-            Cell {
-                config: "window executor (32 lanes, 1 thread)".into(),
-                workload: "events per second".into(),
-                unit: "ev/s",
-                measured: gauge_serial_evps,
-                paper: None,
-            },
-            Cell {
-                config: "window executor (32 lanes, pool)".into(),
-                workload: "events per second".into(),
-                unit: "ev/s",
-                measured: gauge_pool_evps,
-                paper: None,
-            },
-            Cell {
-                config: "window executor (32 lanes, pool)".into(),
-                workload: "parallel speedup".into(),
-                unit: "x",
-                measured: gauge_speedup,
+                measured: ec_wall,
                 paper: None,
             },
         ],

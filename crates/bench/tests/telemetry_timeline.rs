@@ -6,16 +6,14 @@
 //! mirror the fault plane's firings; (2) recording telemetry never
 //! perturbs the simulation — a telemetry-on report minus its SLO
 //! section is byte-identical to the telemetry-off report; (3) the
-//! exported series is byte-identical across the thread matrix and the
-//! sharded-queue toggle, because windows key off completion instants
-//! and gauges sample at monotone pop times.
+//! exported series replays byte-identically from the same seed,
+//! because windows key off completion instants and gauges sample at
+//! monotone pop times.
 
 use deliba_core::{ArrivalOp, Engine, EngineConfig, Generation, Mode, TraceOp};
 use deliba_fault::{FaultSchedule, ResiliencePolicy};
 use deliba_net::LinkFaultProfile;
 use deliba_sim::{InstantKind, SimDuration, SimTime, TelemetryConfig};
-
-const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
 
 fn ms(n: u64) -> SimTime {
     SimTime::from_nanos(n * 1_000_000)
@@ -39,10 +37,9 @@ fn chaos_schedule() -> FaultSchedule {
         .link_restore(ms(4))
 }
 
-fn chaos_engine(telemetry: bool, threads: usize) -> Engine {
+fn chaos_engine(telemetry: bool) -> Engine {
     let mut cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
-        .with_resilience(ResiliencePolicy::default())
-        .with_sim_threads(threads);
+        .with_resilience(ResiliencePolicy::default());
     if telemetry {
         cfg = cfg.with_telemetry(TelemetryConfig::default());
     }
@@ -55,7 +52,7 @@ fn chaos_engine(telemetry: bool, threads: usize) -> Engine {
 /// annotation stream mirrors the fault schedule's firings exactly.
 #[test]
 fn windows_telescope_to_report_totals() {
-    let mut e = chaos_engine(true, 1);
+    let mut e = chaos_engine(true);
     let report = e.run_trace(vec![chaos_trace()], 8);
     assert_eq!(report.verify_failures, 0);
 
@@ -100,8 +97,8 @@ fn windows_telescope_to_report_totals() {
 /// section stripped is byte-identical to a telemetry-off run.
 #[test]
 fn telemetry_never_perturbs_the_run() {
-    let off = chaos_engine(false, 1).run_trace(vec![chaos_trace()], 8);
-    let mut on = chaos_engine(true, 1).run_trace(vec![chaos_trace()], 8);
+    let off = chaos_engine(false).run_trace(vec![chaos_trace()], 8);
+    let mut on = chaos_engine(true).run_trace(vec![chaos_trace()], 8);
     assert!(off.slo.is_none(), "telemetry defaults off");
     assert!(on.slo.is_some(), "telemetry-on runs must report an SLO section");
     on.slo = None;
@@ -113,10 +110,10 @@ fn telemetry_never_perturbs_the_run() {
 }
 
 /// The exported series — timeline JSON, CSV, Prometheus, and the SLO
-/// section — is byte-identical across {1, 2, 8} worker threads with
-/// the sharded queue on and off, for both run loops.
+/// section — replays byte-identically from the same seed, for both run
+/// loops.
 #[test]
-fn series_is_invariant_under_the_thread_matrix() {
+fn series_replays_bit_identically() {
     let stream: Vec<ArrivalOp> = (0..1_500u64)
         .map(|i| ArrivalOp {
             at: SimTime::from_nanos(i * 600),
@@ -127,9 +124,9 @@ fn series_is_invariant_under_the_thread_matrix() {
             },
         })
         .collect();
-    let run = |threads: usize| {
+    let run = || {
         // Closed loop under chaos.
-        let mut e = chaos_engine(true, threads);
+        let mut e = chaos_engine(true);
         let report = e.run_trace(vec![chaos_trace()], 8);
         let mut series = e
             .telemetry()
@@ -138,7 +135,6 @@ fn series_is_invariant_under_the_thread_matrix() {
         let closed_slo = serde_json::to_string(&report.slo).unwrap();
         // Open loop with admission drops.
         let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
-            .with_sim_threads(threads)
             .with_telemetry(TelemetryConfig::default());
         let mut e = Engine::new(cfg);
         let out = e.run_open_loop(&stream, 8);
@@ -151,12 +147,5 @@ fn series_is_invariant_under_the_thread_matrix() {
         series.0.push_str(&open);
         series
     };
-    let reference = run(1);
-    for threads in THREAD_MATRIX {
-        assert_eq!(run(threads), reference, "{threads} threads diverged from serial");
-    }
-    std::env::set_var("DELIBA_NO_SHARDED_QUEUE", "1");
-    let single = run(8);
-    std::env::remove_var("DELIBA_NO_SHARDED_QUEUE");
-    assert_eq!(single, reference, "single-heap pooled series diverged");
+    assert_eq!(run(), run(), "same seed, different series");
 }

@@ -60,15 +60,6 @@ impl HardwareCtx {
     }
 }
 
-// Lane-state markers for the window executor's compile-checked state
-// partition: a hardware context belongs to exactly one lane (the DMQ
-// shape maps each submitting core onto its own hctx), and a whole
-// `MultiQueue` can be lane-owned when a model gives each lane its own
-// fabric.  Tag words are atomics and the hctxs sit behind locks, so
-// `Send` holds structurally.
-impl deliba_sim::LaneState for HardwareCtx {}
-impl deliba_sim::LaneState for MultiQueue {}
-
 /// The multi-queue block device instance.
 pub struct MultiQueue {
     hctxs: Vec<Mutex<HardwareCtx>>,

@@ -97,13 +97,6 @@ pub struct Osd {
     up: bool,
 }
 
-// Window-executor state partition: each OSD (its object store, service
-// threads and RNG stream) is mutable state owned by one lane, while the
-// service profile is immutable cluster-wide configuration workers may
-// share read-only.
-impl deliba_sim::LaneState for Osd {}
-impl deliba_sim::SharedState for OsdProfile {}
-
 impl Osd {
     /// A fresh OSD.
     pub fn new(id: i32, server: usize, profile: OsdProfile, rng: Xoshiro256) -> Self {

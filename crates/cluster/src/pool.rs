@@ -57,11 +57,6 @@ impl PoolKind {
 }
 
 /// Pool configuration.
-///
-/// Immutable for the life of a run, so it doubles as
-/// [`deliba_sim::SharedState`]: window workers read placement
-/// parameters concurrently and mutations (there are none mid-run)
-/// would happen only between windows.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Pool id.
@@ -88,8 +83,6 @@ fn seed_table(id: u32, pg_num: u32) -> Vec<u32> {
         .map(|seq| hash32_2(seq, id.wrapping_mul(0x9E37_79B9)))
         .collect()
 }
-
-impl deliba_sim::SharedState for PoolConfig {}
 
 impl PoolConfig {
     /// A replicated pool.

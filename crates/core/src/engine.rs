@@ -214,16 +214,10 @@ pub struct EngineConfig {
     /// shares its decomposition.  Recording draws no randomness and
     /// advances no timeline, so it never perturbs results.
     pub trace_depth: TraceDepth,
-    /// Intra-run worker threads (`None` = read `DELIBA_SIM_THREADS`,
-    /// default 1).  Above 1, a prepare pipeline generates write
-    /// payloads, checksums and EC shards on worker threads while the
-    /// commit loop executes events serially — reports stay
-    /// byte-identical for every value, only wall-clock changes.
-    pub sim_threads: Option<usize>,
     /// Background recovery/backfill/scrub policy.  `None` (the default)
-    /// leaves cluster dynamics off entirely: no background tokens, no
-    /// extra event-queue shard, and `RunReport` carries no recovery
-    /// block — pre-existing runs stay byte-identical.
+    /// leaves cluster dynamics off entirely: no background tokens, and
+    /// `RunReport` carries no recovery block — pre-existing runs stay
+    /// byte-identical.
     pub recovery: Option<RecoveryPolicy>,
     /// Time-resolved telemetry plane (windowed metric series + SLO
     /// burn-rate alerts).  `None` (the default) allocates nothing and
@@ -249,7 +243,6 @@ impl EngineConfig {
             trace_stages: false,
             resilience: None,
             trace_depth: TraceDepth::Off,
-            sim_threads: None,
             recovery: None,
             telemetry: None,
             seed: 42,
@@ -274,9 +267,9 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the intra-run worker count (overrides `DELIBA_SIM_THREADS`).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = Some(threads.max(1));
+    /// No-op: the engine runs on one thread.  Kept only for
+    /// `perfbench/src/*.rs`; goes with the next change to the benchmark.
+    pub fn with_sim_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -343,8 +336,7 @@ enum Token {
         first_start: SimTime,
     },
     /// Dispatch one backfill wave (or rescan when the queue drained).
-    /// Lives on the dedicated background shard; present only when a
-    /// recovery policy is armed.
+    /// Present only when a recovery policy is armed.
     Recovery,
     /// Run one deep-scrub tick (periodic during foreground, then the
     /// end-of-run drain passes).
@@ -366,9 +358,9 @@ enum OpenToken {
         first_start: SimTime,
         intended: SimTime,
     },
-    /// Backfill wave dispatch (background shard; armed runs only).
+    /// Backfill wave dispatch (armed runs only).
     Recovery,
-    /// Deep-scrub tick (background shard; armed runs only).
+    /// Deep-scrub tick (armed runs only).
     Scrub,
 }
 
@@ -420,13 +412,8 @@ pub struct Engine {
     faults: Option<FaultPlane>,
     /// Engine-side resilience counters (retries, timeouts, failovers…).
     res: ResilienceCounters,
-    /// Conservative time-window accounting from the most recent run
-    /// (zeros when the sharded queue is disabled).
+    /// Conservative time-window accounting from the most recent run.
     windows: WindowStats,
-    /// Prepared data for the op the commit loop is about to execute
-    /// (parallel runs only; serial runs never set it).  Consumed by the
-    /// next write attempt; retries fall back to the inline path.
-    prepared_next: Option<crate::prepare::PreparedOp>,
     /// The card is faulted: route I/O over the software host path.
     fpga_down: bool,
     /// When the outstanding card fault began (time-to-recover basis).
@@ -436,8 +423,7 @@ pub struct Engine {
     trace: TraceHandle,
     /// The time-resolved telemetry plane (disabled handle unless the
     /// config or `DELIBA_TELEMETRY` armed it).  All recording happens
-    /// in the serial commit loop, keyed by virtual completion/pop
-    /// instants, so series stay thread-count invariant.
+    /// in the commit loop, keyed by virtual completion/pop instants.
     tele: TelemetryHandle,
     /// Clone of the most recent run's latency histogram, kept only when
     /// the telemetry plane is on (the telescoping tests compare merged
@@ -445,7 +431,7 @@ pub struct Engine {
     last_hist: Option<Histogram>,
     /// Background recovery/backfill/scrub scheduler (present iff
     /// `cfg.recovery` armed a policy).  Every mutation happens in the
-    /// serial commit loop, so reports stay thread-count invariant.
+    /// commit loop.
     recovery: Option<RecoveryScheduler>,
     /// Silent corruptions injected by the fault plane's `BitRot` events.
     bitrot_injected: u64,
@@ -522,7 +508,6 @@ impl Engine {
             faults: None,
             res: ResilienceCounters::default(),
             windows: WindowStats::default(),
-            prepared_next: None,
             fpga_down: false,
             card_fault_at: None,
             trace,
@@ -683,11 +668,10 @@ impl Engine {
     }
 
     /// Conservative time-window accounting of the most recent run:
-    /// windows opened and events drained below an already-committed
-    /// horizon.  Zeros when the sharded queue is disabled
-    /// (`DELIBA_NO_SHARDED_QUEUE`).  Not part of any `RunReport` —
-    /// ordering never depends on the windows, so the stats are a
-    /// diagnostic, not an output.
+    /// windows opened and events popped below an already-committed
+    /// horizon (see [`deliba_sim::lane`]).  Ordering never depends on
+    /// the windows, so the stats are a diagnostic; `RunReport` carries
+    /// the same totals in its `PerfCounters`.
     pub fn window_stats(&self) -> WindowStats {
         self.windows
     }
@@ -735,10 +719,19 @@ impl Engine {
         )
     }
 
+    /// FNV-1a over little-endian 64-bit words, then the tail bytes.
     fn checksum(data: &[u8]) -> u64 {
-        // FNV-1a, single-sourced with the prepare pipeline so workers
-        // and the commit loop can never disagree on a sum.
-        crate::prepare::SharedCtx::fnv_checksum(data)
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut words = data.chunks_exact(8);
+        for w in words.by_ref() {
+            h ^= u64::from_le_bytes(w.try_into().expect("exact chunk"));
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        for &b in words.remainder() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
     }
 
     /// Fill the recycled scratch buffer with `len` deterministic payload
@@ -1107,22 +1100,7 @@ impl Engine {
 
         // --- PCIe + card + FPGA network stack ---------------------------
         let mut ec_shards: Option<(Vec<Vec<u8>>, usize)> = None;
-        // Payload content never reaches report bytes (timing keys on
-        // `op.len`; checksums are recorded and verified within the same
-        // run), so parallel runs may source it from the prepare
-        // pipeline's per-op streams while serial runs keep the engine
-        // RNG stream.  Retries find `prepared_next` consumed and fall
-        // back inline.
-        let mut prepared_sum: Option<u64> = None;
-        let mut prepared_shards: Option<Vec<Vec<u8>>> = None;
-        let payload = write.then(|| match self.prepared_next.take() {
-            Some(p) => {
-                prepared_sum = Some(p.checksum);
-                prepared_shards = p.shards;
-                p.payload
-            }
-            None => self.payload_for(op.len as usize),
-        });
+        let payload = write.then(|| self.payload_for(op.len as usize));
         if use_fpga {
             // Payload (writes) or command (reads) crosses PCIe.
             let dma_bytes = if write { bytes } else { 256 };
@@ -1182,16 +1160,11 @@ impl Engine {
                 t += place_eff;
                 span_accel_card += place_eff;
             }
-            // EC writes: the RS accelerator encodes on the card (shards
-            // precomputed by the prepare pipeline when one is running —
-            // identical bytes, cycle budget and counters either way).
+            // EC writes: the RS accelerator encodes on the card.
             if write && self.cfg.mode == Mode::ErasureCoding {
                 let card = self.card.as_mut().expect("fpga config has a card");
                 let data = payload.as_ref().expect("write has payload");
-                let (shards, enc_t) = match prepared_shards.take() {
-                    Some(s) => card.encode_prepared(s, data.len()),
-                    None => card.encode(data),
-                };
+                let (shards, enc_t) = card.encode(data);
                 let enc_eff = if self.cfg.features.rtl_accel {
                     enc_t
                 } else {
@@ -1209,15 +1182,9 @@ impl Engine {
             }
         } else if write && self.cfg.mode == Mode::ErasureCoding {
             // Software baseline: encode on the host (time already charged
-            // by host_costs; compute the real shards here, or take the
-            // prepare pipeline's — same codec, same bytes).
+            // by host_costs; compute the real shards here).
             let data = payload.as_ref().expect("write has payload");
-            let shards = match prepared_shards.take() {
-                // Guard on the shard count: the pipeline prepares with
-                // the card's profile, the software fallback is RS(4, 2).
-                Some(s) if s.len() == 6 => s,
-                _ => deliba_ec::ReedSolomon::new(4, 2).encode(data),
-            };
+            let shards = deliba_ec::ReedSolomon::new(4, 2).encode(data);
             ec_shards = Some((shards, data.len()));
         }
 
@@ -1248,7 +1215,7 @@ impl Engine {
                 let data = payload.as_ref().expect("write has payload");
                 pending_write_sum = Some((
                     (obj.name, (op.offset % self.image.object_size) as u32),
-                    prepared_sum.take().unwrap_or_else(|| Self::checksum(data)),
+                    Self::checksum(data),
                 ));
                 self.cluster
                     .write_replicated_at(t, obj, obj_off as usize, data, op.random)
@@ -1282,10 +1249,7 @@ impl Engine {
                 let (shards, orig_len) = ec_shards.expect("EC write encoded");
                 let oid = self.ec_oid(obj.name, op.offset);
                 let data = payload.as_ref().expect("write has payload");
-                pending_write_sum = Some((
-                    (oid.name, 0),
-                    prepared_sum.take().unwrap_or_else(|| Self::checksum(data)),
-                ));
+                pending_write_sum = Some(((oid.name, 0), Self::checksum(data)));
                 self.cluster
                     .write_ec_shards(t, oid, orig_len, shards, op.random)
             }
@@ -1447,76 +1411,17 @@ impl Engine {
         AttemptResult::Done { start, complete }
     }
 
-    /// Effective intra-run thread count: the config override when set,
-    /// else `DELIBA_SIM_THREADS`, else 1 (serial).
-    fn sim_threads(&self) -> usize {
-        self.cfg
-            .sim_threads
-            .unwrap_or_else(deliba_sim::parexec::threads_from_env)
-            .max(1)
-    }
-
-    /// Shared context for the prepare pipeline: a payload stream seed
-    /// from the engine RNG's jump stream (so parallel runs never touch
-    /// the serial payload stream) plus the run's EC profile.
-    fn prepare_ctx(&mut self) -> crate::prepare::SharedCtx {
-        let seed = self.rng.jump().next_u64();
-        let ec_km = (self.cfg.mode == Mode::ErasureCoding).then(|| {
-            self.card
-                .as_ref()
-                .map(|c| (c.rs_codec().k(), c.rs_codec().m()))
-                .unwrap_or((4, 2))
-        });
-        crate::prepare::SharedCtx::new(seed, ec_km)
-    }
-
     /// Run per-job traces closed-loop with the given queue depth.
-    ///
-    /// With an effective thread count above one (config override or
-    /// `DELIBA_SIM_THREADS`), write payloads / checksums / EC shards are
-    /// prepared by a worker pool racing ahead of the serial commit loop;
-    /// the report stays byte-identical to the single-threaded run (see
-    /// the `prepare` module).
     pub fn run_trace(&mut self, jobs: Vec<Vec<TraceOp>>, iodepth: u32) -> RunReport {
-        let threads = self.sim_threads();
-        if threads <= 1 || !jobs.iter().flatten().any(|op| op.write) {
-            return self.run_trace_inner(&jobs, iodepth, None);
-        }
-        let pipe =
-            crate::prepare::Pipeline::new(crate::prepare::TraceSource(&jobs), self.prepare_ctx());
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads - 1 {
-                s.spawn(|_| pipe.worker());
-            }
-            let report = self.run_trace_inner(&jobs, iodepth, Some(&pipe));
-            pipe.shutdown();
-            report
-        })
-        .expect("prepare workers do not panic")
-    }
-
-    fn run_trace_inner(
-        &mut self,
-        jobs: &[Vec<TraceOp>],
-        iodepth: u32,
-        prep: Option<&crate::prepare::Pipeline<crate::prepare::TraceSource<'_>>>,
-    ) -> RunReport {
         let mut hist = Histogram::new();
         let mut counter = Counter::new();
         let mut cursors: Vec<usize> = vec![0; jobs.len()];
         // Completion tokens: one event per outstanding I/O, FIFO at equal
         // timestamps (the queue's internal sequence number is the
-        // tiebreak, exactly as the explicit counter used to be).  Sharded
-        // one shard per lane — a lane's completion reschedules its own
-        // shard, so the common schedule/pop pair is a root rewrite plus
-        // one sift over the lane frontier.
+        // tiebreak, exactly as the explicit counter used to be), plus
+        // the background recovery/scrub tokens when a scheduler is armed.
         let lanes = (jobs.len() * iodepth as usize).max(1);
-        // One extra shard hosts the background recovery/scrub tokens —
-        // appended only when a scheduler is armed, so unarmed runs keep
-        // their exact shard count (and byte-identical reports).
-        let bg_shard = lanes;
-        let shards = lanes + self.recovery.is_some() as usize;
-        let mut queue: LaneQueue<Token> = LaneQueue::new(shards, shards);
+        let mut queue: LaneQueue<Token> = LaneQueue::with_capacity(lanes + 1);
         queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
         // Foreground queue-depth slots still alive: when the last one
         // dies on an exhausted cursor, scrub enters its drain passes.
@@ -1526,8 +1431,7 @@ impl Engine {
             live_slots += tokens;
             for k in 0..tokens {
                 let lane = (j * iodepth as usize + k) as u32;
-                queue.schedule_at(
-                    lane as usize,
+                queue.schedule(
                     SimTime::from_nanos(100 * lane as u64),
                     Token::Slot { job: j as u32, lane },
                 );
@@ -1536,7 +1440,7 @@ impl Engine {
         if let Some(sched) = &self.recovery {
             let p = sched.policy();
             if p.scrub_interval > SimDuration::ZERO && live_slots > 0 {
-                queue.schedule_at(bg_shard, SimTime::ZERO + p.scrub_interval, Token::Scrub);
+                queue.schedule(SimTime::ZERO + p.scrub_interval, Token::Scrub);
             }
         }
         // Flight-recorder identities: lanes are the global queue-depth
@@ -1550,8 +1454,7 @@ impl Engine {
             self.events += 1;
             // Telemetry gauge sampling keys off pop times, which the
             // queue guarantees are monotone nondecreasing — windows
-            // strictly before the current one close here, so the series
-            // is invariant under the thread/shard matrix.
+            // strictly before the current one close here.
             if self.tele.needs_sample(ready) {
                 let snap =
                     self.gauge_snapshot(ready, queue.len() as u32 + 1, queue.len() as u32);
@@ -1560,20 +1463,20 @@ impl Engine {
             if self.faults.is_some() && self.apply_due_faults(ready) {
                 queue.set_lookahead(self.derive_lookahead(ready));
                 if let Some(at) = self.recovery_kick(ready) {
-                    queue.schedule_at(bg_shard, at, Token::Recovery);
+                    queue.schedule(at, Token::Recovery);
                 }
             }
             let (ready, job, lane, io, op, attempt, first_start) = match token {
                 Token::Recovery => {
                     if let Some(at) = self.recovery_step(ready) {
-                        queue.schedule_at(bg_shard, at, Token::Recovery);
+                        queue.schedule(at, Token::Recovery);
                     }
                     next = queue.pop();
                     continue;
                 }
                 Token::Scrub => {
                     if let Some(at) = self.scrub_step(ready) {
-                        queue.schedule_at(bg_shard, at, Token::Scrub);
+                        queue.schedule(at, Token::Scrub);
                     }
                     next = queue.pop();
                     continue;
@@ -1596,9 +1499,6 @@ impl Engine {
                     }
                     cursors[job as usize] += 1;
                     let op = jobs[job as usize][idx];
-                    if let Some(p) = prep {
-                        self.prepared_next = p.fetch(job as usize, idx, op.len as usize, op.write);
-                    }
                     let io = io_seq;
                     io_seq += 1;
                     // Application compute between ops runs on the app's
@@ -1618,11 +1518,7 @@ impl Engine {
                     // The op waits out its backoff on the event queue —
                     // its queue-depth slot stays held, but no shared
                     // resource timeline advances on its behalf.
-                    queue.schedule_at(
-                        lane as usize,
-                        at,
-                        Token::Retry { job, lane, io, op, attempt, first_start },
-                    );
+                    queue.schedule(at, Token::Retry { job, lane, io, op, attempt, first_start });
                     next = queue.pop();
                     continue;
                 }
@@ -1649,11 +1545,7 @@ impl Engine {
                     // Push-pop fused: the queue rewrites its root in
                     // place (the head pops first — its seq is smaller),
                     // identical in pop order to schedule_at + pop.
-                    next = Some(queue.schedule_at_then_pop(
-                        lane as usize,
-                        complete,
-                        Token::Slot { job, lane },
-                    ));
+                    next = Some(queue.schedule_at_then_pop(complete, Token::Slot { job, lane }));
                 }
                 _ => {
                     self.fused += 1;
@@ -1712,46 +1604,12 @@ impl Engine {
             stream.windows(2).all(|w| w[0].at <= w[1].at),
             "open-loop stream must be time-sorted"
         );
-        let threads = self.sim_threads();
-        if threads <= 1 || !stream.iter().any(|a| a.op.write) {
-            return self.run_open_loop_inner(stream, admission_cap, None);
-        }
-        let pipe = crate::prepare::Pipeline::new(
-            crate::prepare::StreamSource(stream.iter().map(|a| (a.op.len, a.op.write)).collect()),
-            self.prepare_ctx(),
-        );
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads - 1 {
-                s.spawn(|_| pipe.worker());
-            }
-            let run = self.run_open_loop_inner(stream, admission_cap, Some(&pipe));
-            pipe.shutdown();
-            run
-        })
-        .expect("prepare workers do not panic")
-    }
-
-    fn run_open_loop_inner(
-        &mut self,
-        stream: &[ArrivalOp],
-        admission_cap: u32,
-        prep: Option<&crate::prepare::Pipeline<crate::prepare::StreamSource>>,
-    ) -> OpenLoopRun {
         let mut hist = Histogram::new();
         let mut counter = Counter::new();
         // The queue never holds more than the in-flight completions, the
-        // retries riding out their backoff, and the one next arrival.
-        // Shards: one per submission context (settles and retries land
-        // on their op's lane) plus a dedicated shard for the arrival
-        // cursor's self-rescheduling chain.
-        let arrive_shard = self.contexts.len();
-        // The background shard follows the arrival shard — appended only
-        // when a recovery scheduler is armed (unarmed shard counts are
-        // untouched).
-        let bg_shard = arrive_shard + 1;
-        let shards = arrive_shard + 1 + self.recovery.is_some() as usize;
-        let mut queue: LaneQueue<OpenToken> =
-            LaneQueue::new(shards, admission_cap as usize + 8);
+        // retries riding out their backoff, the one next arrival and the
+        // background recovery/scrub tokens.
+        let mut queue: LaneQueue<OpenToken> = LaneQueue::with_capacity(admission_cap as usize + 8);
         queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
         let mut cursor = 0usize;
         let mut inflight: u32 = 0;
@@ -1761,15 +1619,11 @@ impl Engine {
         let sample_counters = self.trace.full();
         let mut last_complete = SimTime::ZERO;
         if !stream.is_empty() {
-            queue.schedule_at(arrive_shard, stream[0].at, OpenToken::Arrive);
+            queue.schedule(stream[0].at, OpenToken::Arrive);
             if let Some(sched) = &self.recovery {
                 let p = sched.policy();
                 if p.scrub_interval > SimDuration::ZERO {
-                    queue.schedule_at(
-                        bg_shard,
-                        stream[0].at + p.scrub_interval,
-                        OpenToken::Scrub,
-                    );
+                    queue.schedule(stream[0].at + p.scrub_interval, OpenToken::Scrub);
                 }
             }
         }
@@ -1784,45 +1638,34 @@ impl Engine {
             if self.faults.is_some() && self.apply_due_faults(now) {
                 queue.set_lookahead(self.derive_lookahead(now));
                 if let Some(at) = self.recovery_kick(now) {
-                    queue.schedule_at(bg_shard, at, OpenToken::Recovery);
+                    queue.schedule(at, OpenToken::Recovery);
                 }
             }
             let (lane, io, op, attempt, first_start, intended) = match token {
                 OpenToken::Recovery => {
                     if let Some(at) = self.recovery_step(now) {
-                        queue.schedule_at(bg_shard, at, OpenToken::Recovery);
+                        queue.schedule(at, OpenToken::Recovery);
                     }
                     continue;
                 }
                 OpenToken::Scrub => {
                     if let Some(at) = self.scrub_step(now) {
-                        queue.schedule_at(bg_shard, at, OpenToken::Scrub);
+                        queue.schedule(at, OpenToken::Scrub);
                     }
                     continue;
                 }
                 OpenToken::Arrive => {
-                    let idx = cursor;
                     let op = stream[cursor].op;
                     cursor += 1;
                     if cursor < stream.len() {
-                        queue.schedule_at(
-                            arrive_shard,
-                            stream[cursor].at.max(now),
-                            OpenToken::Arrive,
-                        );
+                        queue.schedule(stream[cursor].at.max(now), OpenToken::Arrive);
                     }
                     if inflight >= admission_cap {
                         // Admission queue full: the op is refused at its
                         // arrival instant — a load shed, not a deferral.
                         dropped += 1;
                         self.tele.drop_op(now);
-                        if let Some(p) = prep {
-                            p.advance(0, idx);
-                        }
                         continue;
-                    }
-                    if let Some(p) = prep {
-                        self.prepared_next = p.fetch(0, idx, op.len as usize, op.write);
                     }
                     inflight += 1;
                     let io = admitted;
@@ -1865,15 +1708,10 @@ impl Engine {
             }
             match self.do_io(now, lane, op, attempt, first_start) {
                 IoDisposition::Done { complete, .. } => {
-                    queue.schedule_at(
-                        lane as usize,
-                        complete,
-                        OpenToken::Settle { intended, len: op.len },
-                    );
+                    queue.schedule(complete, OpenToken::Settle { intended, len: op.len });
                 }
                 IoDisposition::Retry { at, attempt, first_start } => {
-                    queue.schedule_at(
-                        lane as usize,
+                    queue.schedule(
                         at,
                         OpenToken::Retry { lane, io, op, attempt, first_start, intended },
                     );
@@ -2465,21 +2303,19 @@ mod tests {
     }
 
     #[test]
-    fn recovery_runs_replay_bit_identically_across_threads() {
-        let run = |threads: usize| {
+    fn recovery_runs_replay_bit_identically() {
+        let run = || {
             let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
                 .with_resilience(ResiliencePolicy::default())
                 .with_recovery(
                     RecoveryPolicy::default().with_scrub(SimDuration::from_micros(300), 16),
-                )
-                .with_sim_threads(threads);
+                );
             let mut e = Engine::new(cfg);
             e.set_fault_schedule(FaultSchedule::new().osd_crash(ms(1), 7).bit_rot(ms(1), 3));
             e.run_trace(vec![object_ops(24)], 2)
         };
-        let a = run(1);
-        assert_eq!(a, run(1), "same seed + schedule replays bit-identically");
-        assert_eq!(a, run(4), "worker threads never change an armed report");
+        let a = run();
+        assert_eq!(a, run(), "same seed + schedule replays bit-identically");
         let rec = a.recovery.unwrap();
         assert!(
             rec.objects_recovered + rec.bitrot_detected > 0,

@@ -112,7 +112,7 @@ pub struct PerfCounters {
     pub cache_misses: u64,
     /// Misses caused by a map-epoch bump over a live entry.
     pub cache_invalidations: u64,
-    /// Conservative time-windows the sharded event queue opened.
+    /// Conservative time-windows the event queue opened.
     /// Raw totals (not means) so the counters stay exactly summable
     /// and `Eq`; the means are the accessor methods below and the
     /// Prometheus gauges.

@@ -60,11 +60,6 @@ pub struct QueueSet {
     completions_dropped: u64,
 }
 
-// One queue set per lane: the DMQ shape binds each hardware context to
-// its own H2C/C2H/CMPT triple, so a window executor hands the whole set
-// to the lane's worker.
-impl deliba_sim::LaneState for QueueSet {}
-
 impl QueueSet {
     /// A queue set with default ring depths.
     pub fn new(qid: u16, if_type: IfType, function: u16) -> Self {

@@ -13,15 +13,10 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
 //! * [`EventQueue`] and [`Simulator`] — a deterministic event loop with
 //!   stable FIFO ordering for simultaneous events;
-//! * [`sharded`] — the per-lane sharded queue with conservative
-//!   time-windows ([`ShardedEventQueue`]) and the [`LaneQueue`] facade
-//!   whose kill switch swaps the single heap back in; pop order is
-//!   byte-identical either way;
-//! * [`parexec`] — the parallel window executor ([`WindowExecutor`]):
-//!   a scoped worker pool running a conservative window's lane
-//!   partitions concurrently with per-worker effect buffers merged in
-//!   deterministic `(at, seq)` order, controlled by
-//!   `DELIBA_SIM_THREADS` (default 1 = serial);
+//! * [`lane`] — the engine's queue ([`LaneQueue`]): the single heap
+//!   plus conservative time-window accounting ([`WindowStats`]) that
+//!   counts how much commit-ahead the lookahead would allow, without
+//!   ever changing pop order;
 //! * [`rng`] — small, fast, seedable PRNGs (`SplitMix64`, `Xoshiro256`)
 //!   used wherever the simulation needs randomness that must not depend on
 //!   platform or `std` hash ordering;
@@ -41,21 +36,17 @@
 //!   SLO burn-rate alerts and CSV/JSON/Prometheus/Chrome exporters.
 
 pub mod event;
+pub mod lane;
 pub mod metrics;
-pub mod parexec;
 pub mod resource;
 pub mod rng;
-pub mod sharded;
 pub mod stage;
 pub mod time;
 pub mod timeseries;
 pub mod trace;
 
 pub use event::{EventQueue, Simulator};
-pub use parexec::{
-    threads_from_env, Effects, LaneState, SharedState, WindowExecutor, WindowOutcome, THREADS_ENV,
-};
-pub use sharded::{LaneQueue, ShardedEventQueue, WindowStats};
+pub use lane::{LaneQueue, WindowStats};
 pub use metrics::{Counter, Histogram, Summary};
 pub use stage::{Stage, StageTracer};
 pub use timeseries::{GaugeSnapshot, SloAlert, SloSummary, TelemetryConfig, TelemetryHandle};

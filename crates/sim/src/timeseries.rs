@@ -22,9 +22,9 @@
 //! 3. **Deterministic.**  Ops and drops are keyed by virtual
 //!    completion/arrival time, so window contents are pure functions of
 //!    the event outcomes and independent of processing order; gauges
-//!    are sampled at event-pop instants, which the engine's
-//!    thread/shard matrix reproduces byte-identically.  Two same-seed
-//!    runs export byte-identical series.
+//!    are sampled at event-pop instants, which are monotone in the
+//!    engine's serial commit loop.  Two same-seed runs export
+//!    byte-identical series.
 //!
 //! On top of the windows sits the SLO layer ([`MetricsRecorder::slo`]):
 //! a per-window latency objective (target p99 + attainment objective)

@@ -1,37 +1,68 @@
 //! Property tests for the simulation substrate: clock monotonicity,
 //! queueing-resource conservation, histogram accuracy bounds, and the
-//! sharded queue's horizon-safety contract.
+//! engine queue's window accounting.
 
 use deliba_sim::{
-    Bandwidth, EventQueue, Histogram, Server, ShardedEventQueue, SimDuration, SimTime,
+    Bandwidth, EventQueue, Histogram, LaneQueue, Server, SimDuration, SimTime, WindowStats,
 };
 use proptest::prelude::*;
 
-const SHARDS: usize = 4;
-
-/// One step of a mixed queue history thrown at both the sharded queue
-/// and the single-heap reference.
+/// One step of a mixed queue history thrown at both the engine queue
+/// and the plain heap.
 #[derive(Debug, Clone)]
 enum QOp {
-    /// Schedule `now + delta` on `shard % SHARDS`.
-    Schedule { shard: usize, delta: u64 },
+    /// Schedule `now + delta`.
+    Schedule { delta: u64 },
     /// Pop the global minimum from both queues.
     Pop,
+    /// Pop only if due at or before `now + delta`.
+    PopIfAtMost { delta: u64 },
     /// Fused schedule + pop (the closed loop's hot call).
-    Fused { shard: usize, delta: u64 },
-    /// Change the sharded queue's lookahead mid-run — including
-    /// shrinking it to zero.  The single heap has no lookahead at all,
-    /// so agreement after this step proves ordering never depends on it.
+    Fused { delta: u64 },
+    /// Change the lookahead mid-run — including shrinking it to zero.
+    /// The plain heap has no lookahead at all, so agreement after this
+    /// step proves ordering never depends on it.
     SetLookahead { l: u64 },
 }
 
 fn qop() -> impl Strategy<Value = QOp> {
     prop_oneof![
-        (0..SHARDS, 0u64..50).prop_map(|(shard, delta)| QOp::Schedule { shard, delta }),
+        (0u64..50).prop_map(|delta| QOp::Schedule { delta }),
         Just(QOp::Pop),
-        (0..SHARDS, 0u64..50).prop_map(|(shard, delta)| QOp::Fused { shard, delta }),
+        (0u64..50).prop_map(|delta| QOp::PopIfAtMost { delta }),
+        (0u64..50).prop_map(|delta| QOp::Fused { delta }),
         (0u64..200).prop_map(|l| QOp::SetLookahead { l }),
     ]
+}
+
+/// What the window accounting sees: a pop at a time, or a lookahead
+/// change at the current clock.
+#[derive(Debug, Clone, Copy)]
+enum Seen {
+    Popped(SimTime),
+    Lookahead { l: SimDuration, now: SimTime },
+}
+
+/// Reference window accounting, folded over the history: a pop opens a
+/// window unless it lies strictly below the horizon of the window still
+/// open; a lookahead change closes the open window at the current clock.
+fn window_fold(history: &[Seen]) -> WindowStats {
+    let (mut l, mut horizon) = (SimDuration::ZERO, SimTime::ZERO);
+    history.iter().fold(WindowStats::default(), |mut s, step| {
+        match *step {
+            Seen::Lookahead { l: new, now } => {
+                l = new;
+                horizon = now;
+            }
+            Seen::Popped(t) if t < horizon => s.drained += 1,
+            Seen::Popped(t) => {
+                s.windows += 1;
+                s.width_ns += l.as_nanos();
+                horizon = t + l;
+            }
+        }
+        s
+    })
 }
 
 proptest! {
@@ -166,88 +197,69 @@ proptest! {
         }
     }
 
-    /// Horizon safety, half one: for any mixed history — schedules,
-    /// pops, fused calls, and mid-run lookahead changes (growth and
-    /// shrinkage alike) — the sharded queue pops exactly the single
-    /// heap's `(at, seq)` order.  The lookahead feeds only the window
-    /// statistics, never the ordering, so a stale or wrong lookahead
-    /// can cost stats fidelity but not a single reordered event.
+    /// For any mixed history — schedules, plain, bounded and fused
+    /// pops, and mid-run lookahead changes (growth and shrinkage
+    /// alike) — the engine queue pops exactly the plain heap's
+    /// `(at, seq)` order, and its window accounting equals the
+    /// reference fold over the popped times.
     #[test]
-    fn sharded_pop_order_matches_single_heap(
-        ops in proptest::collection::vec(qop(), 1..120),
+    fn lane_queue_matches_heap_and_window_fold(
+        ops in proptest::collection::vec(qop(), 1..160),
     ) {
-        let mut sharded: ShardedEventQueue<u64> = ShardedEventQueue::new(SHARDS);
-        let mut single: EventQueue<u64> = EventQueue::new();
+        let mut lane: LaneQueue<u64> = LaneQueue::with_capacity(16);
+        let mut heap: EventQueue<u64> = EventQueue::new();
+        let mut history: Vec<Seen> = Vec::new();
         let mut id = 0u64;
         for op in ops {
-            match op {
-                QOp::Schedule { shard, delta } => {
-                    let at = sharded.now() + SimDuration::from_nanos(delta);
-                    sharded.schedule_at(shard, at, id);
-                    single.schedule_at(at, id);
+            let popped = match op {
+                QOp::Schedule { delta } => {
+                    let at = heap.now() + SimDuration::from_nanos(delta);
+                    lane.schedule(at, id);
+                    heap.schedule_at(at, id);
                     id += 1;
+                    None
                 }
-                QOp::Pop => prop_assert_eq!(sharded.pop(), single.pop()),
-                QOp::Fused { shard, delta } => {
-                    let at = sharded.now() + SimDuration::from_nanos(delta);
-                    prop_assert_eq!(
-                        sharded.schedule_at_then_pop(shard, at, id),
-                        single.schedule_at_then_pop(at, id)
-                    );
+                QOp::Pop => {
+                    let e = heap.pop();
+                    prop_assert_eq!(lane.pop(), e);
+                    e
+                }
+                QOp::PopIfAtMost { delta } => {
+                    let deadline = heap.now() + SimDuration::from_nanos(delta);
+                    let e = heap.pop_if_at_most(deadline);
+                    prop_assert_eq!(lane.pop_if_at_most(deadline), e);
+                    e
+                }
+                QOp::Fused { delta } => {
+                    let at = heap.now() + SimDuration::from_nanos(delta);
+                    let e = heap.schedule_at_then_pop(at, id);
+                    prop_assert_eq!(lane.schedule_at_then_pop(at, id), e);
                     id += 1;
+                    Some(e)
                 }
-                QOp::SetLookahead { l } => sharded.set_lookahead(SimDuration::from_nanos(l)),
+                QOp::SetLookahead { l } => {
+                    let l = SimDuration::from_nanos(l);
+                    lane.set_lookahead(l);
+                    history.push(Seen::Lookahead { l, now: heap.now() });
+                    None
+                }
+            };
+            if let Some((t, _)) = popped {
+                history.push(Seen::Popped(t));
             }
-            prop_assert_eq!(sharded.len(), single.len());
-            prop_assert_eq!(sharded.peek_time(), single.peek_time());
-            prop_assert_eq!(sharded.now(), single.now());
+            prop_assert_eq!(lane.len(), heap.len());
+            prop_assert_eq!(lane.peek_time(), heap.peek_time());
+            prop_assert_eq!(lane.now(), heap.now());
+            prop_assert_eq!(lane.window_stats(), window_fold(&history));
         }
-        while let Some(e) = single.pop() {
-            prop_assert_eq!(sharded.pop(), Some(e));
+        while let Some(e) = heap.pop() {
+            prop_assert_eq!(lane.pop(), Some(e));
+            history.push(Seen::Popped(e.0));
         }
-        prop_assert!(sharded.is_empty());
-    }
-
-    /// Horizon safety, half two: every `drain_window_into` batch is
-    /// anchored at the frontier minimum and bounded by `min + lookahead`
-    /// — nothing at or past the horizon leaks into the window, nothing
-    /// below it is left behind — and the concatenation of all batches,
-    /// across mid-run lookahead changes (including shrinking to zero),
-    /// is exactly the global `(at, seq)` order.
-    #[test]
-    fn drain_window_batches_bounded_by_horizon(
-        events in proptest::collection::vec((0u64..10_000, 0..SHARDS), 1..150),
-        lookaheads in proptest::collection::vec(0u64..500, 1..6),
-    ) {
-        let mut q: ShardedEventQueue<usize> = ShardedEventQueue::new(SHARDS);
-        for (i, &(t, s)) in events.iter().enumerate() {
-            q.schedule_at(s, SimTime::from_nanos(t), i);
-        }
-        // Reference order: (time, insertion seq), lexicographic.
-        let mut reference: Vec<(u64, usize)> =
-            events.iter().enumerate().map(|(i, &(t, _))| (t, i)).collect();
-        reference.sort_unstable();
-
-        let mut la = lookaheads.iter().cycle();
-        let mut popped: Vec<(SimTime, usize)> = Vec::new();
-        while !q.is_empty() {
-            let l = SimDuration::from_nanos(*la.next().expect("cycle never ends"));
-            q.set_lookahead(l);
-            let min = q.peek_time().expect("non-empty");
-            let horizon = min + l;
-            let n0 = popped.len();
-            let n = q.drain_window_into(&mut popped);
-            prop_assert!(n >= 1, "a window always drains its anchor");
-            prop_assert_eq!(popped[n0].0, min, "window anchored at the frontier minimum");
-            for &(t, _) in &popped[n0..] {
-                prop_assert!(t == min || t < horizon, "{t} escapes window [{min}, {horizon})");
-            }
-            if let Some(next) = q.peek_time() {
-                prop_assert!(next >= horizon, "window left {next} below horizon {horizon}");
-            }
-        }
-        let got: Vec<(u64, usize)> =
-            popped.iter().map(|&(t, v)| (t.as_nanos(), v)).collect();
-        prop_assert_eq!(got, reference);
+        prop_assert!(lane.is_empty());
+        let stats = lane.window_stats();
+        prop_assert_eq!(stats, window_fold(&history));
+        let pops = history.iter().filter(|s| matches!(s, Seen::Popped(_))).count() as u64;
+        prop_assert_eq!(stats.windows + stats.drained, pops, "every pop is counted once");
     }
 }
