@@ -319,22 +319,19 @@ enum IoDisposition {
     Retry { at: SimTime, attempt: u32, first_start: SimTime },
 }
 
-/// Event-queue token: a free queue-depth slot pulling the next trace op,
-/// or a backed-off attempt returning for its retry.  `lane` is the
-/// global queue-depth slot index (`job * iodepth + k`) — the flight
-/// recorder's tid — and `io` the recorder's I/O id; both ride the token
-/// so a retry resumes the identity it was issued under.
+/// Event-queue token of the run loop.
 #[derive(Clone, Copy)]
 enum Token {
-    Slot { job: u32, lane: u32 },
-    Retry {
-        job: u32,
-        lane: u32,
-        io: u64,
-        op: TraceOp,
-        attempt: u32,
-        first_start: SimTime,
-    },
+    /// Admission.  Closed loop: queue-depth slot `lane` (the global
+    /// index `job * iodepth + k`) of `job` is free to pull its job's
+    /// next op.  Open loop: the next intended arrival is due (the
+    /// fields are unused).
+    Admit { job: u32, lane: u32 },
+    /// Open loop: a completion settling — frees its admission-queue
+    /// slot and records latency from intended arrival.
+    Settle { intended: SimTime, len: u32 },
+    /// A backed-off attempt returning for its retry.
+    Retry(Pending),
     /// Dispatch one backfill wave (or rescan when the queue drained).
     /// Present only when a recovery policy is armed.
     Recovery,
@@ -343,25 +340,28 @@ enum Token {
     Scrub,
 }
 
-/// Open-loop event token: the next intended arrival from the stream
-/// cursor, a completion settling (freeing its admission-queue slot and
-/// recording latency from intended arrival), or a backed-off retry.
+/// A foreground op between admission and its final disposition.
+/// `lane` is the flight recorder's tid and `io` its I/O id, `job`
+/// picks the submission context; a retry resumes all three.
 #[derive(Clone, Copy)]
-enum OpenToken {
-    Arrive,
-    Settle { intended: SimTime, len: u32 },
-    Retry {
-        lane: u32,
-        io: u64,
-        op: TraceOp,
-        attempt: u32,
-        first_start: SimTime,
-        intended: SimTime,
-    },
-    /// Backfill wave dispatch (armed runs only).
-    Recovery,
-    /// Deep-scrub tick (armed runs only).
-    Scrub,
+struct Pending {
+    job: u32,
+    lane: u32,
+    io: u64,
+    op: TraceOp,
+    /// Attempts already failed (0: the original submission).
+    attempt: u32,
+    /// The first attempt's start (meaningful once `attempt > 0`).
+    first_start: SimTime,
+    /// Open loop: the intended arrival, the latency basis.
+    intended: SimTime,
+}
+
+impl Pending {
+    /// A freshly admitted op, ready at `at`.
+    fn new(job: u32, lane: u32, io: u64, op: TraceOp, at: SimTime) -> Self {
+        Pending { job, lane, io, op, attempt: 0, first_start: at, intended: at }
+    }
 }
 
 /// Result of an open-loop run: the full report (latency columns measured
@@ -402,7 +402,8 @@ pub struct Engine {
     read_buf: Vec<u8>,
     /// Recycled device buffer for the card-side placement lookup.
     place_buf: Vec<i32>,
-    /// Events executed by the closed-loop queue (perf accounting).
+    /// Events executed by the run loop, closed- and open-loop alike
+    /// (perf accounting).
     events: u64,
     /// Completions consumed by the fused submit→dispatch→post fast path
     /// (no event-queue round trip; perf accounting only).
@@ -565,27 +566,6 @@ impl Engine {
         }
     }
 
-    /// Close out the telemetry plane at end-of-run: capture the final
-    /// gauge sample, keep the run histogram for the telescoping checks,
-    /// and attach the SLO section to the report.  A no-op when the plane
-    /// is off, so baseline reports stay byte-identical.
-    fn finish_telemetry(
-        &mut self,
-        last_complete: SimTime,
-        hist: &Histogram,
-        report: &mut RunReport,
-    ) {
-        if !self.tele.is_on() {
-            return;
-        }
-        self.last_hist = Some(hist.clone());
-        let snap = self.gauge_snapshot(last_complete, 0, 0);
-        if let Some(summary) = self.tele.finish(last_complete, snap) {
-            let cfg = self.tele.with(|r| r.config()).expect("handle is on");
-            report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
-        }
-    }
-
     /// Arm the fault plane with a timed schedule.  Injector streams are
     /// derived from the engine seed, independent of the workload RNG,
     /// so the same seed + schedule replay bit-identically.
@@ -654,9 +634,11 @@ impl Engine {
         self.verify_failures
     }
 
-    /// Events executed by the closed-loop scheduler so far (one per
-    /// issued I/O token) — the denominator of the `harness perf`
-    /// events-per-second gauge.  Not part of any `RunReport`.
+    /// Events the run loop has popped so far, across every run of this
+    /// engine — closed-loop slot admissions, open-loop arrivals and
+    /// settles, retries and background recovery/scrub tokens alike.
+    /// The denominator of the `harness perf` events-per-second gauge;
+    /// `RunReport` carries the same total in its `PerfCounters`.
     pub fn events_executed(&self) -> u64 {
         self.events
     }
@@ -975,19 +957,14 @@ impl Engine {
     /// caller re-enqueues it at the returned instant, so the backoff wait
     /// happens on the event queue and never occupies the submission
     /// context, the PCIe pipe, or any other shared resource timeline.
-    /// `first_start` carries the original attempt's start so a retried
-    /// op's completion latency spans every attempt, as fio would see it.
-    fn do_io(
-        &mut self,
-        ready: SimTime,
-        job: u32,
-        op: TraceOp,
-        attempt: u32,
-        first_start: Option<SimTime>,
-    ) -> IoDisposition {
-        match self.attempt_io(ready, job, op) {
+    /// A retry carries the original attempt's start, so a retried op's
+    /// completion latency spans every attempt, as fio would see it.
+    fn do_io(&mut self, ready: SimTime, io: &Pending) -> IoDisposition {
+        let attempt = io.attempt;
+        let first_start = |start| if attempt == 0 { start } else { io.first_start };
+        match self.attempt_io(ready, io.job, io.op) {
             AttemptResult::Done { start, complete } => {
-                let start = first_start.unwrap_or(start);
+                let start = first_start(start);
                 if let Some(p) = self.cfg.resilience {
                     if complete.saturating_since(start) > p.deadline {
                         // The op made it, but past its deadline — the
@@ -1013,7 +990,7 @@ impl Engine {
                 IoDisposition::Done { start, complete }
             }
             AttemptResult::Fail { start, at, cause } => {
-                let start = first_start.unwrap_or(start);
+                let start = first_start(start);
                 let Some(p) = self.cfg.resilience else {
                     // No policy: fail fast exactly as before the fault
                     // plane existed — charge a timeout-scale penalty and
@@ -1413,153 +1390,133 @@ impl Engine {
 
     /// Run per-job traces closed-loop with the given queue depth.
     pub fn run_trace(&mut self, jobs: Vec<Vec<TraceOp>>, iodepth: u32) -> RunReport {
-        let mut hist = Histogram::new();
-        let mut counter = Counter::new();
-        let mut cursors: Vec<usize> = vec![0; jobs.len()];
-        // Completion tokens: one event per outstanding I/O, FIFO at equal
-        // timestamps (the queue's internal sequence number is the
-        // tiebreak, exactly as the explicit counter used to be), plus
-        // the background recovery/scrub tokens when a scheduler is armed.
-        let lanes = (jobs.len() * iodepth as usize).max(1);
-        let mut queue: LaneQueue<Token> = LaneQueue::with_capacity(lanes + 1);
-        queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
-        // Foreground queue-depth slots still alive: when the last one
-        // dies on an exhausted cursor, scrub enters its drain passes.
-        let mut live_slots = 0usize;
-        for (j, ops) in jobs.iter().enumerate() {
-            let tokens = (iodepth as usize).min(ops.len());
-            live_slots += tokens;
-            for k in 0..tokens {
-                let lane = (j * iodepth as usize + k) as u32;
-                queue.schedule(
-                    SimTime::from_nanos(100 * lane as u64),
-                    Token::Slot { job: j as u32, lane },
-                );
-            }
+        let cursors = vec![0; jobs.len()];
+        self.run_loop(Admission::Closed { jobs, iodepth, cursors }, "trace").0
+    }
+
+    /// Run an open-loop stream: ops are admitted at their intended
+    /// arrival times *regardless of completions*, bounded only by
+    /// `admission_cap` in-flight ops (arrivals past the cap are dropped
+    /// and counted, never silently deferred).  Latency is measured from
+    /// intended arrival — an op that waits behind a saturated submission
+    /// context or a stalled link is charged every nanosecond of that
+    /// wait, which is exactly what the closed-loop clock hides.
+    ///
+    /// The stream must be sorted by `at` (generators and the timed-trace
+    /// loader both guarantee it).
+    pub fn run_open_loop(&mut self, stream: &[ArrivalOp], admission_cap: u32) -> OpenLoopRun {
+        assert!(admission_cap > 0, "admission cap must be positive");
+        debug_assert!(
+            stream.windows(2).all(|w| w[0].at <= w[1].at),
+            "open-loop stream must be time-sorted"
+        );
+        let open = Admission::Open { stream, cap: admission_cap, cursor: 0, dropped: 0 };
+        let (report, run) = self.run_loop(open, "open-loop");
+        let Admission::Open { dropped, .. } = run.admission else { unreachable!() };
+        // Offered load is empirical — intended arrivals over the span of
+        // the stream — so replayed traces report their true rate without
+        // needing a configured one.
+        let span = stream.last().map_or(SimDuration::ZERO, |l| l.at.saturating_since(stream[0].at));
+        let offered_kiops = if span > SimDuration::ZERO {
+            (stream.len() as f64 - 1.0) / span.as_secs_f64() / 1_000.0
+        } else {
+            0.0
+        };
+        let window = run.last_complete.saturating_since(SimTime::ZERO);
+        let point = crate::report::LoadPoint {
+            offered_kiops,
+            achieved_kiops: run.counter.iops(window) / 1_000.0,
+            mean_us: run.hist.mean_us(),
+            p50_us: run.hist.quantile(0.5) / 1_000.0,
+            p99_us: run.hist.quantile(0.99) / 1_000.0,
+            p999_us: run.hist.quantile(0.999) / 1_000.0,
+            admitted: run.issued,
+            dropped,
+        };
+        OpenLoopRun { report, point }
+    }
+
+    /// The run loop under both drivers.  Every I/O takes the same
+    /// submit→complete path; only admission differs, and [`Run`] owns
+    /// it.  The fault plane, background recovery and scrub, retries,
+    /// telemetry sampling and the report live here, once.
+    fn run_loop<'a>(&mut self, admission: Admission<'a>, workload: &str) -> (RunReport, Run<'a>) {
+        let (mut run, origin) = Run::new(admission);
+        run.queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
+        // Periodic scrub runs in phase with the first foreground I/O.
+        let scrub = self.recovery.as_ref().map_or(SimDuration::ZERO, |s| s.policy().scrub_interval);
+        if let Some(origin) = origin.filter(|_| scrub > SimDuration::ZERO) {
+            run.queue.schedule(origin + scrub, Token::Scrub);
         }
-        if let Some(sched) = &self.recovery {
-            let p = sched.policy();
-            if p.scrub_interval > SimDuration::ZERO && live_slots > 0 {
-                queue.schedule(SimTime::ZERO + p.scrub_interval, Token::Scrub);
-            }
-        }
-        // Flight-recorder identities: lanes are the global queue-depth
-        // slots seeded above; I/O ids are issued in dispatch order.
         let recording = self.trace.is_on();
-        let sample_counters = self.trace.full();
-        let mut io_seq: u64 = 0;
-        let mut last_complete = SimTime::ZERO;
-        let mut next = queue.pop();
-        while let Some((ready, token)) = next {
+        let mut next = run.queue.pop();
+        while let Some((now, token)) = next {
             self.events += 1;
             // Telemetry gauge sampling keys off pop times, which the
             // queue guarantees are monotone nondecreasing — windows
             // strictly before the current one close here.
-            if self.tele.needs_sample(ready) {
-                let snap =
-                    self.gauge_snapshot(ready, queue.len() as u32 + 1, queue.len() as u32);
-                self.tele.sample(ready, snap);
+            if self.tele.needs_sample(now) {
+                let snap = self.gauge_snapshot(now, run.inflight, run.queue.len() as u32);
+                self.tele.sample(now, snap);
             }
-            if self.faults.is_some() && self.apply_due_faults(ready) {
-                queue.set_lookahead(self.derive_lookahead(ready));
-                if let Some(at) = self.recovery_kick(ready) {
-                    queue.schedule(at, Token::Recovery);
+            if self.faults.is_some() && self.apply_due_faults(now) {
+                run.queue.set_lookahead(self.derive_lookahead(now));
+                if let Some(at) = self.recovery_kick(now) {
+                    run.queue.schedule(at, Token::Recovery);
                 }
             }
-            let (ready, job, lane, io, op, attempt, first_start) = match token {
+            let issue = match token {
+                Token::Admit { job, lane } => run.admit(self, now, job, lane),
+                Token::Retry(io) => Some((now, io)),
+                Token::Settle { intended, len } => {
+                    run.settle(self, now, intended, len);
+                    None
+                }
                 Token::Recovery => {
-                    if let Some(at) = self.recovery_step(ready) {
-                        queue.schedule(at, Token::Recovery);
+                    if let Some(at) = self.recovery_step(now) {
+                        run.queue.schedule(at, Token::Recovery);
                     }
-                    next = queue.pop();
-                    continue;
+                    None
                 }
                 Token::Scrub => {
-                    if let Some(at) = self.scrub_step(ready) {
-                        queue.schedule(at, Token::Scrub);
+                    if let Some(at) = self.scrub_step(now) {
+                        run.queue.schedule(at, Token::Scrub);
                     }
-                    next = queue.pop();
-                    continue;
+                    None
                 }
-                Token::Slot { job, lane } => {
-                    let idx = cursors[job as usize];
-                    if idx >= jobs[job as usize].len() {
-                        live_slots -= 1;
-                        if live_slots == 0 {
-                            if let Some(s) = self.recovery.as_mut() {
-                                if s.policy().scrub_interval > SimDuration::ZERO
-                                    && !s.scrub_draining()
-                                {
-                                    s.start_scrub_drain();
-                                }
-                            }
-                        }
-                        next = queue.pop();
-                        continue;
-                    }
-                    cursors[job as usize] += 1;
-                    let op = jobs[job as usize][idx];
-                    let io = io_seq;
-                    io_seq += 1;
-                    // Application compute between ops runs on the app's
-                    // own core, off every modeled resource.
-                    (ready + SimDuration::from_nanos(op.think_ns), job, lane, io, op, 0, None)
+            };
+            let Some((ready, io)) = issue else {
+                // Nothing to issue.  Once the foreground has drained,
+                // scrub switches to its end-of-run drain passes.
+                let drain = scrub > SimDuration::ZERO && run.drained();
+                if let Some(s) = self.recovery.as_mut().filter(|s| drain && !s.scrub_draining()) {
+                    s.start_scrub_drain();
                 }
-                Token::Retry { job, lane, io, op, attempt, first_start } => {
-                    (ready, job, lane, io, op, attempt, Some(first_start))
-                }
+                next = run.queue.pop();
+                continue;
             };
             if recording {
-                self.trace.set_ctx(io, lane);
+                self.trace.set_ctx(io.io, io.lane);
             }
-            let (start, complete) = match self.do_io(ready, job, op, attempt, first_start) {
-                IoDisposition::Done { start, complete } => (start, complete),
+            next = match self.do_io(ready, &io) {
+                IoDisposition::Done { start, complete } => run.complete(self, &io, start, complete),
                 IoDisposition::Retry { at, attempt, first_start } => {
                     // The op waits out its backoff on the event queue —
-                    // its queue-depth slot stays held, but no shared
+                    // its admission slot stays held, but no shared
                     // resource timeline advances on its behalf.
-                    queue.schedule(at, Token::Retry { job, lane, io, op, attempt, first_start });
-                    next = queue.pop();
-                    continue;
+                    let retry = Pending { attempt, first_start, ..io };
+                    run.queue.schedule(at, Token::Retry(retry));
+                    run.queue.pop()
                 }
             };
-            hist.record(complete.saturating_since(start));
-            counter.record(op.len as u64);
-            self.tele.op(complete, complete.saturating_since(start), op.len as u64);
-            last_complete = last_complete.max(complete);
-            if sample_counters {
-                // Pending tokens plus the slot in hand = ops in flight;
-                // sampled at each completion so the counter track shows
-                // the closed loop draining at the end of the run.
-                self.trace
-                    .counter(complete, "inflight_ops", queue.len() as u64 + 1);
-                self.trace.counter(complete, "queue_depth", queue.len() as u64);
-            }
-            // Fused fast path: when the completion would be the very next
-            // event popped anyway — strictly earlier than everything
-            // pending (ties must round-trip through the heap so the
-            // sequence-number FIFO tiebreak is preserved) — consume it
-            // in place and skip the schedule/pop.
-            match queue.peek_time() {
-                Some(head) if head <= complete => {
-                    // Push-pop fused: the queue rewrites its root in
-                    // place (the head pops first — its seq is smaller),
-                    // identical in pop order to schedule_at + pop.
-                    next = Some(queue.schedule_at_then_pop(complete, Token::Slot { job, lane }));
-                }
-                _ => {
-                    self.fused += 1;
-                    next = Some((complete, Token::Slot { job, lane }));
-                }
-            }
         }
-        self.windows = queue.window_stats();
-        let window = last_complete.saturating_since(SimTime::ZERO);
+        self.windows = run.queue.window_stats();
+        let window = run.last_complete.saturating_since(SimTime::ZERO);
         let mut report = RunReport::new(
             self.cfg.label(),
-            "trace".to_string(),
-            &hist,
-            &counter,
+            workload.to_string(),
+            &run.hist,
+            &run.counter,
             window,
             self.degraded_ops,
             self.verify_failures,
@@ -1584,193 +1541,19 @@ impl Engine {
             report.resilience = Some(self.resilience_counters());
         }
         report.recovery = self.recovery_counters();
-        self.finish_telemetry(last_complete, &hist, &mut report);
-        report
-    }
-
-    /// Run an open-loop stream: ops are admitted at their intended
-    /// arrival times *regardless of completions*, bounded only by
-    /// `admission_cap` in-flight ops (arrivals past the cap are dropped
-    /// and counted, never silently deferred).  Latency is measured from
-    /// intended arrival — an op that waits behind a saturated submission
-    /// context or a stalled link is charged every nanosecond of that
-    /// wait, which is exactly what the closed-loop clock hides.
-    ///
-    /// The stream must be sorted by `at` (generators and the timed-trace
-    /// loader both guarantee it).
-    pub fn run_open_loop(&mut self, stream: &[ArrivalOp], admission_cap: u32) -> OpenLoopRun {
-        assert!(admission_cap > 0, "admission cap must be positive");
-        debug_assert!(
-            stream.windows(2).all(|w| w[0].at <= w[1].at),
-            "open-loop stream must be time-sorted"
-        );
-        let mut hist = Histogram::new();
-        let mut counter = Counter::new();
-        // The queue never holds more than the in-flight completions, the
-        // retries riding out their backoff, the one next arrival and the
-        // background recovery/scrub tokens.
-        let mut queue: LaneQueue<OpenToken> = LaneQueue::with_capacity(admission_cap as usize + 8);
-        queue.set_lookahead(self.derive_lookahead(SimTime::ZERO));
-        let mut cursor = 0usize;
-        let mut inflight: u32 = 0;
-        let mut admitted: u64 = 0;
-        let mut dropped: u64 = 0;
-        let recording = self.trace.is_on();
-        let sample_counters = self.trace.full();
-        let mut last_complete = SimTime::ZERO;
-        if !stream.is_empty() {
-            queue.schedule(stream[0].at, OpenToken::Arrive);
-            if let Some(sched) = &self.recovery {
-                let p = sched.policy();
-                if p.scrub_interval > SimDuration::ZERO {
-                    queue.schedule(stream[0].at + p.scrub_interval, OpenToken::Scrub);
-                }
+        // Close out the telemetry plane (a no-op when it is off, so
+        // baseline reports stay byte-identical): keep the run histogram
+        // for the telescoping checks, take the final gauge sample and
+        // attach the SLO section.
+        if self.tele.is_on() {
+            self.last_hist = Some(run.hist.clone());
+            let snap = self.gauge_snapshot(run.last_complete, 0, 0);
+            if let Some(summary) = self.tele.finish(run.last_complete, snap) {
+                let cfg = self.tele.with(|r| r.config()).expect("handle is on");
+                report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
             }
         }
-        while let Some((now, token)) = queue.pop() {
-            self.events += 1;
-            // Same monotone-pop-time sampling contract as the closed
-            // loop; `inflight` here counts admitted-but-unsettled ops.
-            if self.tele.needs_sample(now) {
-                let snap = self.gauge_snapshot(now, inflight, queue.len() as u32);
-                self.tele.sample(now, snap);
-            }
-            if self.faults.is_some() && self.apply_due_faults(now) {
-                queue.set_lookahead(self.derive_lookahead(now));
-                if let Some(at) = self.recovery_kick(now) {
-                    queue.schedule(at, OpenToken::Recovery);
-                }
-            }
-            let (lane, io, op, attempt, first_start, intended) = match token {
-                OpenToken::Recovery => {
-                    if let Some(at) = self.recovery_step(now) {
-                        queue.schedule(at, OpenToken::Recovery);
-                    }
-                    continue;
-                }
-                OpenToken::Scrub => {
-                    if let Some(at) = self.scrub_step(now) {
-                        queue.schedule(at, OpenToken::Scrub);
-                    }
-                    continue;
-                }
-                OpenToken::Arrive => {
-                    let op = stream[cursor].op;
-                    cursor += 1;
-                    if cursor < stream.len() {
-                        queue.schedule(stream[cursor].at.max(now), OpenToken::Arrive);
-                    }
-                    if inflight >= admission_cap {
-                        // Admission queue full: the op is refused at its
-                        // arrival instant — a load shed, not a deferral.
-                        dropped += 1;
-                        self.tele.drop_op(now);
-                        continue;
-                    }
-                    inflight += 1;
-                    let io = admitted;
-                    // Round-robin admitted ops across submission contexts
-                    // (DeLiBA-K's three io_uring instances; one NBD
-                    // daemon for D1/D2).
-                    let lane = (admitted % self.contexts.len() as u64) as u32;
-                    admitted += 1;
-                    (lane, io, op, 0, None, now)
-                }
-                OpenToken::Retry { lane, io, op, attempt, first_start, intended } => {
-                    (lane, io, op, attempt, Some(first_start), intended)
-                }
-                OpenToken::Settle { intended, len } => {
-                    inflight -= 1;
-                    if inflight == 0 && cursor >= stream.len() {
-                        // Foreground drained: scrub switches to its
-                        // end-of-run drain passes.
-                        if let Some(s) = self.recovery.as_mut() {
-                            if s.policy().scrub_interval > SimDuration::ZERO
-                                && !s.scrub_draining()
-                            {
-                                s.start_scrub_drain();
-                            }
-                        }
-                    }
-                    hist.record(now.saturating_since(intended));
-                    counter.record(len as u64);
-                    self.tele.op(now, now.saturating_since(intended), len as u64);
-                    last_complete = last_complete.max(now);
-                    if sample_counters {
-                        self.trace.counter(now, "inflight_ops", inflight as u64);
-                        self.trace.counter(now, "admission_drops", dropped);
-                    }
-                    continue;
-                }
-            };
-            if recording {
-                self.trace.set_ctx(io, lane);
-            }
-            match self.do_io(now, lane, op, attempt, first_start) {
-                IoDisposition::Done { complete, .. } => {
-                    queue.schedule(complete, OpenToken::Settle { intended, len: op.len });
-                }
-                IoDisposition::Retry { at, attempt, first_start } => {
-                    queue.schedule(
-                        at,
-                        OpenToken::Retry { lane, io, op, attempt, first_start, intended },
-                    );
-                }
-            }
-        }
-        self.windows = queue.window_stats();
-        // Offered load is empirical — intended arrivals over the span of
-        // the stream — so replayed traces report their true rate without
-        // needing a configured one.
-        let span = stream
-            .last()
-            .map(|l| l.at.saturating_since(stream[0].at))
-            .unwrap_or(SimDuration::ZERO);
-        let offered_kiops = if span > SimDuration::ZERO {
-            (stream.len() as f64 - 1.0) / span.as_secs_f64() / 1_000.0
-        } else {
-            0.0
-        };
-        let window = last_complete.saturating_since(SimTime::ZERO);
-        let point = crate::report::LoadPoint {
-            offered_kiops,
-            achieved_kiops: counter.iops(window) / 1_000.0,
-            mean_us: hist.mean_us(),
-            p50_us: hist.quantile(0.5) / 1_000.0,
-            p99_us: hist.quantile(0.99) / 1_000.0,
-            p999_us: hist.quantile(0.999) / 1_000.0,
-            admitted,
-            dropped,
-        };
-        let mut report = RunReport::new(
-            self.cfg.label(),
-            "open-loop".to_string(),
-            &hist,
-            &counter,
-            window,
-            self.degraded_ops,
-            self.verify_failures,
-        );
-        if let Some(tracer) = &self.tracer {
-            report.breakdown = Some(crate::report::StageBreakdown::from_tracer(tracer));
-        }
-        let cache = self.cluster.map().placement_cache_stats();
-        report.counters = Some(crate::report::PerfCounters {
-            events: self.events,
-            fused_events: self.fused,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_invalidations: cache.invalidations,
-            windows: self.windows.windows,
-            window_events: self.windows.drained,
-            window_width_ns: self.windows.width_ns,
-        });
-        if self.faults.is_some() || self.cfg.resilience.is_some() {
-            report.resilience = Some(self.resilience_counters());
-        }
-        report.recovery = self.recovery_counters();
-        self.finish_telemetry(last_complete, &hist, &mut report);
-        OpenLoopRun { report, point }
+        (report, run)
     }
 
     /// Generate and run a fio-style workload.
@@ -1804,6 +1587,192 @@ impl Engine {
         let mut report = self.run_trace(jobs, spec.iodepth);
         report.workload = spec.label();
         report
+    }
+}
+
+/// How foreground ops enter a run and what their completion does: all
+/// that differs between the closed loop (fio's model) and the open
+/// loop (an application issuing at its own pace).
+enum Admission<'a> {
+    /// `iodepth` slots per job, each re-armed by its own completion and
+    /// pulling its job's trace in order.  A slot that finds its job
+    /// exhausted dies; each live slot holds exactly one foreground
+    /// token, so live slots are what is in flight.
+    Closed { jobs: Vec<Vec<TraceOp>>, iodepth: u32, cursors: Vec<usize> },
+    /// Ops arrive at their intended instants whatever the completions
+    /// do, at most `cap` in flight (arrivals past it are dropped and
+    /// counted).  A completion settles through the queue and is charged
+    /// from intended arrival.
+    Open { stream: &'a [ArrivalOp], cap: u32, cursor: usize, dropped: u64 },
+}
+
+/// A run in progress: its event queue, where its foreground ops come
+/// from, and what became of them.
+struct Run<'a> {
+    queue: LaneQueue<Token>,
+    admission: Admission<'a>,
+    hist: Histogram,
+    counter: Counter,
+    /// Latest instant an op finished (the run's window).
+    last_complete: SimTime,
+    /// Ops admitted so far (the flight recorder's I/O ids, in order).
+    issued: u64,
+    /// Foreground ops in flight: live closed-loop slots, or admitted
+    /// open-loop ops not yet settled.
+    inflight: u32,
+}
+
+impl<'a> Run<'a> {
+    /// A run with its first `Admit` tokens scheduled, and the instant
+    /// foreground I/O begins (`None`: it never does).
+    fn new(admission: Admission<'a>) -> (Self, Option<SimTime>) {
+        let (queue, inflight, origin) = match &admission {
+            Admission::Closed { jobs, iodepth, .. } => {
+                let qd = *iodepth as usize;
+                // One token per slot plus the background ones.
+                let mut queue = LaneQueue::with_capacity((jobs.len() * qd).max(1) + 1);
+                let mut slots = 0;
+                for (j, ops) in jobs.iter().enumerate() {
+                    for k in 0..qd.min(ops.len()) {
+                        let lane = (j * qd + k) as u32;
+                        let slot = Token::Admit { job: j as u32, lane };
+                        queue.schedule(SimTime::from_nanos(100 * lane as u64), slot);
+                        slots += 1;
+                    }
+                }
+                (queue, slots, (slots > 0).then_some(SimTime::ZERO))
+            }
+            Admission::Open { stream, cap, .. } => {
+                // The in-flight completions, the retries riding out their
+                // backoff, the one next arrival and the background tokens.
+                let mut queue = LaneQueue::with_capacity(*cap as usize + 8);
+                let origin = stream.first().map(|first| first.at);
+                if let Some(at) = origin {
+                    queue.schedule(at, Token::Admit { job: 0, lane: 0 });
+                }
+                (queue, 0, origin)
+            }
+        };
+        let (hist, counter) = (Histogram::new(), Counter::new());
+        let last_complete = SimTime::ZERO;
+        (Run { queue, admission, hist, counter, last_complete, issued: 0, inflight }, origin)
+    }
+
+    /// An `Admit` token popped at `now`: when the op is ready, and the
+    /// op; `None` if a closed-loop slot found its job exhausted or an
+    /// open-loop arrival was dropped at the cap.
+    #[inline]
+    fn admit(
+        &mut self,
+        eng: &Engine,
+        now: SimTime,
+        job: u32,
+        lane: u32,
+    ) -> Option<(SimTime, Pending)> {
+        let io = self.issued;
+        let issue = match &mut self.admission {
+            Admission::Closed { jobs, cursors, .. } => {
+                let j = job as usize;
+                let Some(&op) = jobs[j].get(cursors[j]) else {
+                    self.inflight -= 1;
+                    return None;
+                };
+                cursors[j] += 1;
+                // Application compute between ops runs on the app's own
+                // core, off every modeled resource.
+                let ready = now + SimDuration::from_nanos(op.think_ns);
+                (ready, Pending::new(job, lane, io, op, ready))
+            }
+            Admission::Open { stream, cap, cursor, dropped } => {
+                let op = stream[*cursor].op;
+                *cursor += 1;
+                if let Some(next) = stream.get(*cursor) {
+                    self.queue.schedule(next.at.max(now), Token::Admit { job: 0, lane: 0 });
+                }
+                if self.inflight >= *cap {
+                    // Admission queue full: the op is refused at its
+                    // arrival instant — a load shed, not a deferral.
+                    *dropped += 1;
+                    eng.tele.drop_op(now);
+                    return None;
+                }
+                self.inflight += 1;
+                // Round-robin across submission contexts (DeLiBA-K's
+                // three io_uring instances; one NBD daemon for D1/D2).
+                let lane = (io % eng.contexts.len() as u64) as u32;
+                (now, Pending::new(lane, lane, io, op, now))
+            }
+        };
+        self.issued += 1;
+        Some(issue)
+    }
+
+    /// `io` finished (`start → complete`): account it and return the
+    /// next event to run.
+    #[inline]
+    fn complete(
+        &mut self,
+        eng: &mut Engine,
+        io: &Pending,
+        start: SimTime,
+        complete: SimTime,
+    ) -> Option<(SimTime, Token)> {
+        if let Admission::Open { .. } = self.admission {
+            let settle = Token::Settle { intended: io.intended, len: io.op.len };
+            self.queue.schedule(complete, settle);
+            return self.queue.pop();
+        }
+        self.record(eng, complete, complete.saturating_since(start), io.op.len);
+        // The completion re-arms its slot.  Fused fast path: when that
+        // token would be the very next event popped anyway — strictly
+        // earlier than everything pending (ties must round-trip through
+        // the heap so the sequence-number FIFO tiebreak is preserved) —
+        // keep it in hand.  Otherwise the queue rewrites its root in
+        // place (the head pops first — its seq is smaller), identical in
+        // pop order to schedule + pop.
+        let slot = Token::Admit { job: io.job, lane: io.lane };
+        match self.queue.peek_time() {
+            Some(head) if head <= complete => Some(self.queue.schedule_at_then_pop(complete, slot)),
+            _ => {
+                eng.fused += 1;
+                Some((complete, slot))
+            }
+        }
+    }
+
+    /// A `Settle` token popped at `now`: an open-loop op leaves flight,
+    /// charged from its intended arrival.
+    fn settle(&mut self, eng: &Engine, now: SimTime, intended: SimTime, len: u32) {
+        self.inflight -= 1;
+        self.record(eng, now, now.saturating_since(intended), len);
+    }
+
+    /// One op's final disposition at `at`: its latency into the
+    /// histogram and the telemetry plane, its bytes into the counter,
+    /// and the in-flight counters onto the flight recorder's track.
+    #[inline]
+    fn record(&mut self, eng: &Engine, at: SimTime, latency: SimDuration, len: u32) {
+        self.hist.record(latency);
+        self.counter.record(len as u64);
+        eng.tele.op(at, latency, len as u64);
+        self.last_complete = self.last_complete.max(at);
+        if eng.trace.full() {
+            eng.trace.counter(at, "inflight_ops", self.inflight as u64);
+            let (name, value) = match self.admission {
+                Admission::Closed { .. } => ("queue_depth", self.queue.len() as u64),
+                Admission::Open { dropped, .. } => ("admission_drops", dropped),
+            };
+            eng.trace.counter(at, name, value);
+        }
+    }
+
+    /// No foreground op is in flight and none is left to admit.
+    fn drained(&self) -> bool {
+        self.inflight == 0
+            && match self.admission {
+                Admission::Closed { .. } => true,
+                Admission::Open { stream, cursor, .. } => cursor >= stream.len(),
+            }
     }
 }
 
@@ -2300,6 +2269,25 @@ mod tests {
         assert_eq!(rec.bitrot_repaired, rec.bitrot_injected, "every flip fixed: {rec:?}");
         assert!(rec.scrub_objects >= 40, "at least one full pass: {rec:?}");
         assert_eq!(e.cluster_mut().corrupted_copies(), 0, "registry empty after repair");
+    }
+
+    #[test]
+    fn closed_loop_inflight_gauge_counts_only_queue_depth_slots() {
+        // The armed scrub keeps a background token pending for the whole
+        // run; it must not read as an in-flight op.
+        let (jobs, iodepth) = (2u32, 4u32);
+        let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+            .with_recovery(RecoveryPolicy::default().with_scrub(SimDuration::from_micros(100), 8))
+            .with_telemetry(TelemetryConfig::default().with_window(SimDuration::from_micros(50)));
+        let mut e = Engine::new(cfg);
+        e.run_trace(vec![object_ops(40); jobs as usize], iodepth);
+        let max = e
+            .telemetry()
+            .with(|r| r.windows().iter().map(|w| w.inflight).max())
+            .flatten()
+            .expect("telemetry armed and windows recorded");
+        assert!(max > 0, "steady state keeps slots in flight");
+        assert!(max <= jobs * iodepth, "in-flight {max} > {jobs} jobs x qd {iodepth}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic event queue and callback-driven simulator.
+//! Deterministic event queue.
 //!
 //! The event loop is single-threaded and deterministic: events scheduled
 //! for the same virtual instant fire in FIFO scheduling order (a strictly
@@ -26,7 +26,7 @@
 //! Pop order is a pure function of `(at, seq)`, so the replacement is
 //! bit-identical to the old queue for every schedule history.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// One heap record: the ordering key pair plus the arena slot holding
 /// the payload.
@@ -139,27 +139,12 @@ impl<E> EventQueue<E> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Schedule `payload` after `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Pop the next event, advancing virtual time to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.heap.is_empty() {
             return None;
         }
         Some(self.pop_root())
-    }
-
-    /// Pop the next event only if it is due at or before `deadline` —
-    /// the fused form of `peek_time` + `pop` (one root access, one
-    /// traversal, no double bounds checks on the hot loop).
-    pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.heap.first() {
-            Some(e) if e.at <= deadline => Some(self.pop_root()),
-            _ => None,
-        }
     }
 
     /// Timestamp of the next pending event without popping it.
@@ -264,110 +249,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-type Callback<S> = Box<dyn FnOnce(&mut Simulator<S>, &mut S)>;
-
-/// A scheduled unit of work: either a plain function pointer (zero
-/// allocation — the common case for self-rescheduling processes) or a
-/// boxed closure carrying captured state.
-enum Event<S> {
-    Fn(fn(&mut Simulator<S>, &mut S)),
-    Closure(Callback<S>),
-}
-
-/// A callback-driven discrete-event simulator over user state `S`.
-///
-/// Components schedule closures; each closure receives the simulator (to
-/// schedule follow-up events) and the shared simulation state.  Capture-
-/// free callbacks can use [`Simulator::schedule_fn`] to skip the
-/// per-event closure box entirely; the queue's slot arena recycles the
-/// event records themselves either way.
-pub struct Simulator<S> {
-    queue: EventQueue<Event<S>>,
-    executed: u64,
-}
-
-impl<S> Default for Simulator<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S> Simulator<S> {
-    /// Fresh simulator at t = 0.
-    pub fn new() -> Self {
-        Simulator {
-            queue: EventQueue::new(),
-            executed: 0,
-        }
-    }
-
-    /// Current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Total number of events executed so far.
-    #[inline]
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedule a closure to run after `delay`.
-    pub fn schedule<F>(&mut self, delay: SimDuration, f: F)
-    where
-        F: FnOnce(&mut Simulator<S>, &mut S) + 'static,
-    {
-        self.queue.schedule_in(delay, Event::Closure(Box::new(f)));
-    }
-
-    /// Schedule a closure at an absolute time.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F)
-    where
-        F: FnOnce(&mut Simulator<S>, &mut S) + 'static,
-    {
-        self.queue.schedule_at(at, Event::Closure(Box::new(f)));
-    }
-
-    /// Schedule a capture-free function pointer after `delay` — no
-    /// per-event allocation at all.
-    pub fn schedule_fn(&mut self, delay: SimDuration, f: fn(&mut Simulator<S>, &mut S)) {
-        self.queue.schedule_in(delay, Event::Fn(f));
-    }
-
-    /// Schedule a capture-free function pointer at an absolute time.
-    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut Simulator<S>, &mut S)) {
-        self.queue.schedule_at(at, Event::Fn(f));
-    }
-
-    /// Run until the queue drains or `deadline` is reached (events after
-    /// the deadline remain queued).  Returns the final virtual time.
-    pub fn run_until(&mut self, state: &mut S, deadline: SimTime) -> SimTime {
-        while let Some((_, ev)) = self.queue.pop_if_at_most(deadline) {
-            self.executed += 1;
-            match ev {
-                Event::Fn(f) => f(self, state),
-                Event::Closure(cb) => cb(self, state),
-            }
-        }
-        self.now()
-    }
-
-    /// Run until the queue drains completely.
-    pub fn run_to_completion(&mut self, state: &mut S) -> SimTime {
-        self.run_until(state, SimTime(u64::MAX))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn events_pop_in_time_order() {
@@ -398,7 +283,7 @@ mod tests {
         q.schedule_at(SimTime(10), ());
         q.pop();
         assert_eq!(q.now(), SimTime(10));
-        q.schedule_in(SimDuration(5), ());
+        q.schedule_at(q.now() + SimDuration(5), ());
         assert_eq!(q.peek_time(), Some(SimTime(15)));
     }
 
@@ -488,85 +373,5 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn pop_if_at_most_fuses_peek_and_pop() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        q.schedule_at(SimTime(10), 1);
-        q.schedule_at(SimTime(20), 2);
-        assert!(q.pop_if_at_most(SimTime(5)).is_none());
-        assert_eq!(q.pop_if_at_most(SimTime(10)), Some((SimTime(10), 1)));
-        assert!(q.pop_if_at_most(SimTime(15)).is_none());
-        assert_eq!(q.pop_if_at_most(SimTime(u64::MAX)), Some((SimTime(20), 2)));
-        assert!(q.pop_if_at_most(SimTime(u64::MAX)).is_none());
-        assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn simulator_chains_events() {
-        let mut sim: Simulator<Vec<u64>> = Simulator::new();
-        let mut log = Vec::new();
-        sim.schedule(SimDuration(10), |sim, log: &mut Vec<u64>| {
-            log.push(sim.now().as_nanos());
-            sim.schedule(SimDuration(5), |sim, log: &mut Vec<u64>| {
-                log.push(sim.now().as_nanos());
-            });
-        });
-        sim.schedule(SimDuration(12), |sim, log: &mut Vec<u64>| {
-            log.push(sim.now().as_nanos());
-        });
-        sim.run_to_completion(&mut log);
-        assert_eq!(log, vec![10, 12, 15]);
-        assert_eq!(sim.executed(), 3);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let mut count = 0u32;
-        for i in 1..=10 {
-            sim.schedule_at(SimTime(i * 100), |_, c: &mut u32| *c += 1);
-        }
-        sim.run_until(&mut count, SimTime(450));
-        assert_eq!(count, 4);
-        assert_eq!(sim.pending(), 6);
-        sim.run_to_completion(&mut count);
-        assert_eq!(count, 10);
-    }
-
-    #[test]
-    fn recursive_scheduling_terminates_at_bound() {
-        // A self-rescheduling "process" (like a kernel-poll thread),
-        // using the allocation-free fn-pointer path.
-        struct St {
-            ticks: u32,
-        }
-        fn tick(sim: &mut Simulator<St>, st: &mut St) {
-            st.ticks += 1;
-            if st.ticks < 50 {
-                sim.schedule_fn(SimDuration(100), tick);
-            }
-        }
-        let mut sim = Simulator::new();
-        let mut st = St { ticks: 0 };
-        sim.schedule_fn(SimDuration(100), tick);
-        sim.run_to_completion(&mut st);
-        assert_eq!(st.ticks, 50);
-        assert_eq!(sim.now(), SimTime(5000));
-    }
-
-    #[test]
-    fn fn_and_closure_events_interleave_fifo() {
-        let mut sim: Simulator<Vec<&'static str>> = Simulator::new();
-        fn first(_: &mut Simulator<Vec<&'static str>>, log: &mut Vec<&'static str>) {
-            log.push("fn");
-        }
-        let mut log = Vec::new();
-        sim.schedule_fn(SimDuration(10), first);
-        sim.schedule(SimDuration(10), |_, log: &mut Vec<&'static str>| log.push("closure"));
-        sim.schedule_fn(SimDuration(10), |_, log| log.push("fn2"));
-        sim.run_to_completion(&mut log);
-        assert_eq!(log, vec!["fn", "closure", "fn2"], "same-instant FIFO across kinds");
     }
 }

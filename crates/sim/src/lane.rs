@@ -113,16 +113,6 @@ impl<E> LaneQueue<E> {
         popped
     }
 
-    /// Pop the next event only if due at or before `deadline`.
-    #[inline]
-    pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let popped = self.queue.pop_if_at_most(deadline);
-        if let Some((at, _)) = &popped {
-            self.note_pop(*at);
-        }
-        popped
-    }
-
     /// Semantically `schedule(at, payload)` followed by
     /// `pop().unwrap()`, fused (see [`EventQueue::schedule_at_then_pop`]).
     #[inline]
@@ -197,7 +187,7 @@ mod tests {
         // Without the re-derivation 104 would drain under horizon 110;
         // the new lookahead closes the window, so 104 opens its own.
         q.set_lookahead(SimDuration(3));
-        assert_eq!(q.pop_if_at_most(SimTime(104)), Some((SimTime(104), 1)));
+        assert_eq!(q.pop(), Some((SimTime(104), 1)));
         assert_eq!(q.window_stats(), stats(2, 0, 13));
         // 106 is under the new horizon 107 and drains (fused pop path).
         assert_eq!(q.schedule_at_then_pop(SimTime(120), 3), (SimTime(106), 2));

@@ -11,8 +11,8 @@
 //! The crate provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
-//! * [`EventQueue`] and [`Simulator`] — a deterministic event loop with
-//!   stable FIFO ordering for simultaneous events;
+//! * [`EventQueue`] — a deterministic event queue with stable FIFO
+//!   ordering for simultaneous events;
 //! * [`lane`] — the engine's queue ([`LaneQueue`]): the single heap
 //!   plus conservative time-window accounting ([`WindowStats`]) that
 //!   counts how much commit-ahead the lookahead would allow, without
@@ -45,7 +45,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use event::{EventQueue, Simulator};
+pub use event::EventQueue;
 pub use lane::{LaneQueue, WindowStats};
 pub use metrics::{Counter, Histogram, Summary};
 pub use stage::{Stage, StageTracer};

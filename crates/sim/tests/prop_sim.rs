@@ -15,8 +15,6 @@ enum QOp {
     Schedule { delta: u64 },
     /// Pop the global minimum from both queues.
     Pop,
-    /// Pop only if due at or before `now + delta`.
-    PopIfAtMost { delta: u64 },
     /// Fused schedule + pop (the closed loop's hot call).
     Fused { delta: u64 },
     /// Change the lookahead mid-run — including shrinking it to zero.
@@ -29,7 +27,6 @@ fn qop() -> impl Strategy<Value = QOp> {
     prop_oneof![
         (0u64..50).prop_map(|delta| QOp::Schedule { delta }),
         Just(QOp::Pop),
-        (0u64..50).prop_map(|delta| QOp::PopIfAtMost { delta }),
         (0u64..50).prop_map(|delta| QOp::Fused { delta }),
         (0u64..200).prop_map(|l| QOp::SetLookahead { l }),
     ]
@@ -197,11 +194,11 @@ proptest! {
         }
     }
 
-    /// For any mixed history — schedules, plain, bounded and fused
-    /// pops, and mid-run lookahead changes (growth and shrinkage
-    /// alike) — the engine queue pops exactly the plain heap's
-    /// `(at, seq)` order, and its window accounting equals the
-    /// reference fold over the popped times.
+    /// For any mixed history — schedules, plain and fused pops, and
+    /// mid-run lookahead changes (growth and shrinkage alike) — the
+    /// engine queue pops exactly the plain heap's `(at, seq)` order,
+    /// and its window accounting equals the reference fold over the
+    /// popped times.
     #[test]
     fn lane_queue_matches_heap_and_window_fold(
         ops in proptest::collection::vec(qop(), 1..160),
@@ -222,12 +219,6 @@ proptest! {
                 QOp::Pop => {
                     let e = heap.pop();
                     prop_assert_eq!(lane.pop(), e);
-                    e
-                }
-                QOp::PopIfAtMost { delta } => {
-                    let deadline = heap.now() + SimDuration::from_nanos(delta);
-                    let e = heap.pop_if_at_most(deadline);
-                    prop_assert_eq!(lane.pop_if_at_most(deadline), e);
                     e
                 }
                 QOp::Fused { delta } => {

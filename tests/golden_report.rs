@@ -4,21 +4,28 @@
 //! `PerfCounters` — must not move by a byte.
 //!
 //! The constants are FNV-1a digests of `serde_json::to_string(&report)`.
-//! They were computed on the commit that still carried the sharded
-//! event queue and the prepare pool, before the engine moved onto the
-//! single serial event core, so these tests pin that refactor (and any
-//! later one) to byte-identical output.  A deliberate model change
-//! updates them, and says so.
+//! The first three were computed on the commit that still carried the
+//! sharded event queue and the prepare pool, before the engine moved
+//! onto the single serial event core; the last two (every fault, the
+//! recovery and scrub arms and both observers, closed- and open-loop)
+//! before the closed- and open-loop drivers merged into one run loop.
+//! So these tests pin those refactors (and any later one) to
+//! byte-identical output.  A deliberate model change updates them, and
+//! says so.
 
 use deliba_k::cluster::RecoveryPolicy;
 use deliba_k::core::{Engine, EngineConfig, Generation, Mode, RunReport, TraceOp, IMAGE_BYTES};
 use deliba_k::fault::{FaultSchedule, ResiliencePolicy};
 use deliba_k::net::LinkFaultProfile;
-use deliba_k::sim::{SimDuration, SimRng, SimTime, Xoshiro256};
+use deliba_k::sim::{SimDuration, SimRng, SimTime, TelemetryConfig, Xoshiro256};
 use deliba_k::workload::{ArrivalKind, OpenLoopSpec};
 
 fn ms(n: u64) -> SimTime {
     SimTime::from_nanos(n * 1_000_000)
+}
+
+fn us(n: u64) -> SimTime {
+    SimTime::from_nanos(n * 1_000)
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -113,4 +120,84 @@ fn open_loop_poisson_with_faults_and_recovery() {
     let report = &run.report;
     assert!(report.resilience.is_some() && report.recovery.is_some());
     assert_eq!(digest(report), "187898a53a2a5898");
+}
+
+/// Every arm of the run loop at once, closed-loop: an OSD crash, a
+/// lossy link window, a card outage and bit-rot under the retry policy,
+/// with backfill, periodic deep scrub and its end-of-run drain, the
+/// stage tracer and the telemetry plane all armed — so the
+/// `breakdown`, `resilience`, `recovery` and `slo` sections are pinned
+/// along with the latency columns and window counters.
+#[test]
+fn closed_loop_faults_recovery_scrub_and_observers() {
+    // Each job writes its own distinct 4 MiB objects once, then reads
+    // them back: an injected flip persists until scrub repairs it.
+    let job = |j: u64| -> Vec<TraceOp> {
+        let obj = |i: u64| (j * 48 + i) * (4 << 20);
+        let writes = (0..48).map(|i| TraceOp::write(obj(i), 4096, true));
+        let reads = (0..48).map(|i| TraceOp::read(obj(i), 4096, true));
+        writes.chain(reads).collect()
+    };
+    let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+        .with_resilience(ResiliencePolicy::default())
+        .with_recovery(RecoveryPolicy::default().with_scrub(SimDuration::from_micros(200), 16))
+        .with_tracing()
+        .with_telemetry(TelemetryConfig::default().with_window(SimDuration::from_micros(250)));
+    let mut engine = Engine::new(cfg);
+    engine.set_fault_schedule(
+        FaultSchedule::new()
+            .bit_rot(us(400), 4)
+            .osd_crash(us(600), 7)
+            .link_degrade(
+                us(800),
+                LinkFaultProfile {
+                    drop_p: 0.05,
+                    corrupt_p: 0.02,
+                },
+            )
+            .link_restore(us(1_400))
+            .card_outage(us(1_000), SimDuration::from_micros(500)),
+    );
+    let report = engine.run_trace((0..3).map(job).collect(), 8);
+    assert_eq!(report.ops, 288);
+    assert!(report.breakdown.is_some() && report.slo.is_some());
+    let res = report.resilience.expect("faults armed");
+    assert!(res.retries > 0 && res.osd_crashes > 0 && res.fpga_failovers > 0, "{res:?}");
+    let rec = report.recovery.expect("recovery armed");
+    assert!(rec.bitrot_injected > 0 && rec.scrub_objects > 0, "{rec:?}");
+    assert_eq!(digest(&report), "38de47a17f644f61");
+}
+
+/// The open loop with the stage tracer and the telemetry plane on: the
+/// report (with its `breakdown` and `slo` sections) and the exported
+/// window timeline are both pinned.
+#[test]
+fn open_loop_with_tracing_and_telemetry() {
+    let stream = OpenLoopSpec {
+        rate_kiops: 60.0,
+        ops: 1_200,
+        block_size: 4096,
+        write_frac: 0.3,
+        arrival: ArrivalKind::Poisson,
+        zipf_s: 0.9,
+        seed: 0x601D_0005,
+    }
+    .generate();
+    let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+        .with_tracing()
+        .with_telemetry(TelemetryConfig::default().with_window(SimDuration::from_micros(250)));
+    let mut engine = Engine::new(cfg);
+    let run = engine.run_open_loop(&stream, 64);
+    assert_eq!(run.point.admitted + run.point.dropped, 1_200);
+    let report = &run.report;
+    assert!(report.breakdown.is_some() && report.slo.is_some());
+    assert_eq!(digest(report), "1d8790daae0eaa27");
+    let timeline = engine
+        .telemetry()
+        .with(|r| r.timeline_json())
+        .expect("telemetry armed");
+    assert_eq!(
+        format!("{:016x}", fnv1a(timeline.as_bytes())),
+        "5cec96e0e5f8ab7d"
+    );
 }
