@@ -210,7 +210,7 @@ fn run_trace(depth_flag: Option<String>, out_dir: Option<String>) {
         eprintln!("bad trace depth: {depth_str} (use off, spans or full)");
         std::process::exit(2);
     };
-    if !depth.is_on() {
+    if depth < deliba_sim::TraceDepth::Spans {
         eprintln!("trace depth is off — nothing to record (use --trace-depth spans|full)");
         std::process::exit(2);
     }

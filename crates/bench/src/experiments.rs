@@ -1672,8 +1672,8 @@ pub fn timeline_with(opts: &TimelineOpts) -> (Experiment, TimelineArtifacts) {
 
     // The in-run invariants CI re-derives from the exported JSON.
     let slo = run.report.slo.clone().expect("telemetry was armed");
-    let width_ns = e.telemetry().with(|r| r.width_ns()).expect("recording");
-    let anns = e.telemetry().with(|r| r.annotations()).expect("recording");
+    let width_ns = e.observer().series(|r| r.width_ns()).expect("recording");
+    let anns = e.observer().series(|r| r.annotations()).expect("recording");
     let crash = anns
         .iter()
         .find(|a| a.kind == InstantKind::OsdCrash)
@@ -1744,8 +1744,8 @@ pub fn timeline_with(opts: &TimelineOpts) -> (Experiment, TimelineArtifacts) {
     }
 
     let artifacts = e
-        .telemetry()
-        .with(|r| TimelineArtifacts {
+        .observer()
+        .series(|r| TimelineArtifacts {
             report: run.report.clone(),
             timeline_json: r.timeline_json(),
             csv: r.csv(),

@@ -51,15 +51,12 @@ pub struct TraceCell {
 }
 
 fn snapshot(name: &'static str, report: RunReport, engine: &Engine) -> TraceCell {
-    let trace = engine.trace();
-    TraceCell {
-        name,
-        chrome: trace.chrome_json().expect("trace cells run with the recorder on"),
-        prom: prometheus_dump(&report, trace.stats().as_ref()),
-        worst: trace.worst_k(WORST_K),
-        stats: trace.stats().expect("recorder on"),
-        report,
-    }
+    let (chrome, worst, stats) = engine
+        .observer()
+        .ring(|r| (r.chrome_json(), r.worst_k(WORST_K), r.stats()))
+        .expect("trace cells run with the recorder on");
+    let prom = prometheus_dump(&report, Some(&stats));
+    TraceCell { name, report, chrome, prom, worst, stats }
 }
 
 /// The chaos cell's pinned fault schedule: one instance of every fault
@@ -94,18 +91,17 @@ fn chaos_jobs() -> Vec<Vec<TraceOp>> {
     (0..JOBS).map(trace).collect()
 }
 
-/// Run every trace cell at `depth` (which must be on).
+/// Run every trace cell at `depth` (`Spans` or deeper: the cells need
+/// the ring).
 pub fn run_trace_cells(depth: TraceDepth) -> Vec<TraceCell> {
-    assert!(depth.is_on(), "trace cells need a recording depth");
+    assert!(depth >= TraceDepth::Spans, "trace cells need the flight-recorder ring");
     let mut cells = Vec::new();
     for (name, g) in [
         ("d1-rand-read-4k", Generation::DeLiBA1),
         ("d2-rand-read-4k", Generation::DeLiBA2),
         ("dk-rand-read-4k", Generation::DeLiBAK),
     ] {
-        let cfg = EngineConfig::new(g, true, Mode::Replication)
-            .with_tracing()
-            .with_trace_depth(depth);
+        let cfg = EngineConfig::new(g, true, Mode::Replication).with_trace_depth(depth);
         let mut e = Engine::new(cfg);
         let report = e.run_fio(&FioSpec::latency_probe(RwMode::Read, Pattern::Rand, 4096, PROBE_OPS));
         assert_eq!(e.verify_failures(), 0);
@@ -114,7 +110,6 @@ pub fn run_trace_cells(depth: TraceDepth) -> Vec<TraceCell> {
 
     let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
         .with_resilience(ResiliencePolicy::default())
-        .with_tracing()
         .with_trace_depth(depth);
     let mut e = Engine::new(cfg);
     e.set_fault_schedule(chaos_schedule());

@@ -57,8 +57,8 @@ fn windows_telescope_to_report_totals() {
     assert_eq!(report.verify_failures, 0);
 
     let run_hist = e.last_histogram().expect("telemetry retains the run histogram").clone();
-    e.telemetry()
-        .with(|r| {
+    e.observer()
+        .series(|r| {
             let win_ops: u64 = r.windows().iter().map(|w| w.ops).sum();
             assert_eq!(win_ops, r.total_ops(), "window ops must telescope");
             assert_eq!(r.total_ops(), run_hist.count(), "telemetry ops == report ops");
@@ -129,8 +129,8 @@ fn series_replays_bit_identically() {
         let mut e = chaos_engine(true);
         let report = e.run_trace(vec![chaos_trace()], 8);
         let mut series = e
-            .telemetry()
-            .with(|r| (r.timeline_json(), r.csv(), r.prom_series("cfg", "closed")))
+            .observer()
+            .series(|r| (r.timeline_json(), r.csv(), r.prom_series("cfg", "closed")))
             .expect("telemetry is on");
         let closed_slo = serde_json::to_string(&report.slo).unwrap();
         // Open loop with admission drops.
@@ -140,8 +140,8 @@ fn series_replays_bit_identically() {
         let out = e.run_open_loop(&stream, 8);
         assert!(out.point.dropped > 0, "the cap must actually drop arrivals");
         let open = e
-            .telemetry()
-            .with(|r| r.timeline_json())
+            .observer()
+            .series(|r| r.timeline_json())
             .expect("telemetry is on");
         series.0.push_str(&closed_slo);
         series.0.push_str(&open);

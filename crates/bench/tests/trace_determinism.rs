@@ -41,11 +41,10 @@ fn span_chains_telescope_exactly_to_the_breakdown() {
     // Fault-free cell: every op completes on its first attempt, so each
     // chain is one uninterrupted walk of the critical path.
     let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
-        .with_tracing()
         .with_trace_depth(TraceDepth::Spans);
     let mut e = Engine::new(cfg);
     let r = e.run_fio(&probe_spec());
-    let chains = e.trace().span_chains();
+    let chains = e.observer().ring(|r| r.span_chains()).expect("ring armed");
     assert_eq!(chains.len() as u64, r.ops, "one chain per I/O");
 
     for chain in &chains {
@@ -94,14 +93,12 @@ fn disabled_recorder_is_inert() {
             .with_trace_depth(TraceDepth::Off),
     );
     let off = off_engine.run_fio(&probe_spec());
-    assert!(!off_engine.trace().is_on());
-    assert!(off_engine.trace().chrome_json().is_none());
-    assert!(off_engine.trace().stats().is_none());
-    assert!(off_engine.trace().span_chains().is_empty());
+    assert!(!off_engine.observer().is_on(), "nothing armed, nothing allocated");
+    assert!(off_engine.observer().ring(|r| r.stats()).is_none());
     assert_eq!(off, base, "an Off-depth run must be indistinguishable");
 
     // Recording must not perturb the modeled numbers either — only add
-    // the breakdown section (a recording run always carries a tracer).
+    // the breakdown section (every depth from `Stages` up folds it).
     let full = Engine::new(
         EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
             .with_trace_depth(TraceDepth::Full),

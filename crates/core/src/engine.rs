@@ -28,8 +28,7 @@ use deliba_net::{LinkVerdict, TcpStack};
 use deliba_qdma::PciePipes;
 use deliba_sim::{
     Counter, GaugeSnapshot, Histogram, InstantKind, LaneQueue, Server, SimDuration, SimRng,
-    SimTime, Stage, StageTracer, TelemetryConfig, TelemetryHandle, TraceDepth, TraceHandle,
-    TraceLayer, WindowStats, Xoshiro256,
+    Observer, SimTime, Stage, TelemetryConfig, TraceDepth, TraceLayer, WindowStats, Xoshiro256,
 };
 use std::collections::BTreeMap;
 
@@ -198,21 +197,18 @@ pub struct EngineConfig {
     /// Jumbo (9000 B MTU) Ethernet framing instead of standard 1500 B
     /// (§IV-B supports both).
     pub jumbo_frames: bool,
-    /// Per-I/O stage-span tracing (latency breakdown).  Off by default:
-    /// the tracer is only allocated — and per-stage histograms only
-    /// touched — when this is set, so plain runs pay nothing.
-    pub trace_stages: bool,
     /// Resilience policy: per-I/O deadline, bounded retry with
     /// exponential backoff + deterministic jitter.  `None` (the
     /// default) fails fast exactly as before — no retries, no deadline
     /// accounting, and `RunReport` carries no resilience block.
     pub resilience: Option<ResiliencePolicy>,
-    /// Flight-recorder depth (`Off` by default).  When on, a bounded
-    /// `TraceSink` ring records per-I/O span chains and fault/retry
-    /// instants (and, at `Full`, per-layer events and counter samples)
-    /// — and the stage tracer is allocated too, since the span walk
-    /// shares its decomposition.  Recording draws no randomness and
-    /// advances no timeline, so it never perturbs results.
+    /// Per-I/O tracing depth (`Off` by default, and then nothing is
+    /// allocated).  `Stages` folds every op's stage spans into the
+    /// per-stage histograms behind `RunReport::breakdown`; `Spans` also
+    /// records per-I/O span chains and fault/retry instants in a bounded
+    /// flight-recorder ring; `Full` adds per-layer events and counter
+    /// samples.  Tracing draws no randomness and advances no timeline,
+    /// so it never perturbs results.
     pub trace_depth: TraceDepth,
     /// Background recovery/backfill/scrub policy.  `None` (the default)
     /// leaves cluster dynamics off entirely: no background tokens, and
@@ -240,7 +236,6 @@ impl EngineConfig {
             preferred_rm: None,
             features: generation.features(),
             jumbo_frames: false,
-            trace_stages: false,
             resilience: None,
             trace_depth: TraceDepth::Off,
             recovery: None,
@@ -249,13 +244,14 @@ impl EngineConfig {
         }
     }
 
-    /// Enable per-I/O stage tracing.
+    /// Enable the per-stage latency breakdown: the trace depth becomes
+    /// at least `Stages`.
     pub fn with_tracing(mut self) -> Self {
-        self.trace_stages = true;
+        self.trace_depth = self.trace_depth.max(TraceDepth::Stages);
         self
     }
 
-    /// Enable the flight recorder at `depth`.
+    /// Trace at `depth`.
     pub fn with_trace_depth(mut self, depth: TraceDepth) -> Self {
         self.trace_depth = depth;
         self
@@ -300,7 +296,7 @@ impl EngineConfig {
 pub const IMAGE_BYTES: u64 = 1 << 30;
 
 /// Outcome of a single I/O attempt (the retry loop's unit of work).
-/// Failed attempts never touch the latency histogram, the tracer, or
+/// Failed attempts never touch the latency histogram, the stage fold, or
 /// context occupancy — only the final disposition of the op does.
 enum AttemptResult {
     /// The attempt completed; `start` is when the submission context
@@ -392,8 +388,6 @@ pub struct Engine {
     written: BTreeMap<(u64, u32), u64>,
     verify_failures: u64,
     degraded_ops: u64,
-    /// Stage-span tracer (present iff `cfg.trace_stages`).
-    tracer: Option<StageTracer>,
     /// Recycled payload buffer: write payloads are generated into this
     /// scratch space instead of a fresh allocation per op.
     scratch: Vec<u8>,
@@ -419,13 +413,12 @@ pub struct Engine {
     fpga_down: bool,
     /// When the outstanding card fault began (time-to-recover basis).
     card_fault_at: Option<SimTime>,
-    /// The flight recorder (disabled handle unless `cfg.trace_depth` is
-    /// on; every layer below holds a clone of the same sink).
-    trace: TraceHandle,
-    /// The time-resolved telemetry plane (disabled handle unless the
-    /// config or `DELIBA_TELEMETRY` armed it).  All recording happens
-    /// in the commit loop, keyed by virtual completion/pop instants.
-    tele: TelemetryHandle,
+    /// The observation handle: the stage fold and the flight-recorder
+    /// ring per `cfg.trace_depth`, the telemetry series when the config
+    /// or `DELIBA_TELEMETRY` armed it; off when none is.  Every layer
+    /// below holds a clone.  Telemetry records in the commit loop, keyed
+    /// by virtual completion/pop instants.
+    obs: Observer,
     /// Clone of the most recent run's latency histogram, kept only when
     /// the telemetry plane is on (the telescoping tests compare merged
     /// window histograms against it).
@@ -454,18 +447,14 @@ impl Engine {
         } else {
             deliba_net::FrameConfig::standard()
         };
-        let trace = TraceHandle::recording(cfg.trace_depth, deliba_sim::trace::RING_CAPACITY);
         let telemetry = cfg.telemetry.or_else(|| {
             std::env::var("DELIBA_TELEMETRY")
                 .ok()
                 .and_then(|v| TelemetryConfig::from_env_value(&v))
         });
-        let tele = match telemetry {
-            Some(t) => TelemetryHandle::recording(t),
-            None => TelemetryHandle::off(),
-        };
+        let obs = Observer::new(cfg.trace_depth, deliba_sim::trace::RING_CAPACITY, telemetry);
         let mut cluster = Cluster::paper_testbed_with_frames(cfg.seed, frames);
-        cluster.set_trace(trace.clone());
+        cluster.set_trace(obs.clone());
         let recovery = cfg.recovery.map(RecoveryScheduler::new);
         if recovery.is_some() {
             // Dynamics on: partial-write fan-out starts honoring the
@@ -475,14 +464,14 @@ impl Engine {
         }
         let card = cfg.fpga.then(|| {
             let mut card = AlveoU280::deliba_k_default();
-            card.set_trace(trace.clone());
+            card.set_trace(obs.clone());
             card
         });
         let contexts = (0..cfg.features.contexts.max(1))
             .map(|_| Server::new())
             .collect();
         let mut pcie = PciePipes::new(calib::PCIE_GBYTES_PER_SEC);
-        pcie.set_trace(trace.clone());
+        pcie.set_trace(obs.clone());
         let pool = match cfg.mode {
             Mode::Replication => 1,
             Mode::ErasureCoding => 2,
@@ -498,9 +487,6 @@ impl Engine {
             written: BTreeMap::new(),
             verify_failures: 0,
             degraded_ops: 0,
-            // The recorder's span walk reuses the stage decomposition,
-            // so enabling it allocates the tracer too.
-            tracer: (cfg.trace_stages || cfg.trace_depth.is_on()).then(StageTracer::new),
             scratch: Vec::new(),
             read_buf: Vec::new(),
             place_buf: Vec::new(),
@@ -511,8 +497,7 @@ impl Engine {
             windows: WindowStats::default(),
             fpga_down: false,
             card_fault_at: None,
-            trace,
-            tele,
+            obs,
             last_hist: None,
             recovery,
             bitrot_injected: 0,
@@ -522,16 +507,10 @@ impl Engine {
         }
     }
 
-    /// The flight recorder handle (disabled unless the config asked for
-    /// a trace depth) — the exporters hang off this.
-    pub fn trace(&self) -> &TraceHandle {
-        &self.trace
-    }
-
-    /// The telemetry-plane handle (disabled unless armed via the config
-    /// or `DELIBA_TELEMETRY`) — the series exporters hang off this.
-    pub fn telemetry(&self) -> &TelemetryHandle {
-        &self.tele
+    /// The observation handle (off unless the config asked for a trace
+    /// depth or telemetry) — the ring and series exporters hang off it.
+    pub fn observer(&self) -> &Observer {
+        &self.obs
     }
 
     /// The most recent run's latency histogram; `Some` only when the
@@ -680,11 +659,6 @@ impl Engine {
         self.cluster.map().placement_cache_stats()
     }
 
-    /// The stage tracer (`None` unless the config enabled tracing).
-    pub fn tracer(&self) -> Option<&StageTracer> {
-        self.tracer.as_ref()
-    }
-
     /// Resource utilization snapshot over `[0, horizon]` — identifies the
     /// bottleneck of a run (submission contexts, PCIe, client port).
     pub fn utilization(&self, horizon: SimTime) -> String {
@@ -762,15 +736,8 @@ impl Engine {
                     self.cluster.fail_osd(osd);
                     self.recovery_dirty = true;
                     self.res.osd_crashes += 1;
-                    self.tele.annotate(now, InstantKind::OsdCrash, osd as u64);
-                    self.trace.instant_lane(
-                        now,
-                        TraceLayer::Fault,
-                        osd as u32,
-                        InstantKind::OsdCrash,
-                        osd as u64,
-                    );
-                    self.trace.instant_lane(
+                    self.obs.fault(now, osd as u32, InstantKind::OsdCrash, osd as u64);
+                    self.obs.instant_lane(
                         now,
                         TraceLayer::Fault,
                         osd as u32,
@@ -781,15 +748,8 @@ impl Engine {
                 FaultKind::OsdRevive { osd } => {
                     self.cluster.revive_osd(osd);
                     self.recovery_dirty = true;
-                    self.tele.annotate(now, InstantKind::OsdRevive, osd as u64);
-                    self.trace.instant_lane(
-                        now,
-                        TraceLayer::Fault,
-                        osd as u32,
-                        InstantKind::OsdRevive,
-                        osd as u64,
-                    );
-                    self.trace.instant_lane(
+                    self.obs.fault(now, osd as u32, InstantKind::OsdRevive, osd as u64);
+                    self.obs.instant_lane(
                         now,
                         TraceLayer::Fault,
                         osd as u32,
@@ -809,8 +769,7 @@ impl Engine {
                     } else {
                         InstantKind::LinkDegrade
                     };
-                    self.tele.annotate(now, ik, 0);
-                    self.trace.instant_lane(now, TraceLayer::Fault, 0, ik, 0);
+                    self.obs.fault(now, 0, ik, 0);
                 }
                 FaultKind::DmaDegrade(p) => {
                     let ik = if p.is_healthy() {
@@ -818,8 +777,7 @@ impl Engine {
                     } else {
                         InstantKind::DmaDegrade
                     };
-                    self.tele.annotate(now, ik, 0);
-                    self.trace.instant_lane(now, TraceLayer::Fault, 0, ik, 0);
+                    self.obs.fault(now, 0, ik, 0);
                 }
                 FaultKind::CardFault => {
                     if let Some(card) = self.card.as_mut() {
@@ -830,9 +788,7 @@ impl Engine {
                         self.card_fault_at = Some(now);
                         self.res.fpga_failovers += 1;
                     }
-                    self.tele.annotate(now, InstantKind::CardFault, 0);
-                    self.trace
-                        .instant_lane(now, TraceLayer::Fault, 0, InstantKind::CardFault, 0);
+                    self.obs.fault(now, 0, InstantKind::CardFault, 0);
                 }
                 FaultKind::CardRecover => {
                     if let Some(card) = self.card.as_mut() {
@@ -843,9 +799,7 @@ impl Engine {
                         self.res.recovery_time_us +=
                             now.saturating_since(t0).as_nanos() as f64 / 1_000.0;
                     }
-                    self.tele.annotate(now, InstantKind::CardRecover, 0);
-                    self.trace
-                        .instant_lane(now, TraceLayer::Fault, 0, InstantKind::CardRecover, 0);
+                    self.obs.fault(now, 0, InstantKind::CardRecover, 0);
                 }
                 FaultKind::DfxSwap { target } => {
                     if let Some(card) = self.card.as_mut() {
@@ -864,9 +818,7 @@ impl Engine {
                     let plane = self.faults.as_mut().expect("a due fault implies a plane");
                     let rotten = self.cluster.inject_bitrot(copies, plane.bitrot_rng());
                     self.bitrot_injected += rotten;
-                    self.tele.annotate(now, InstantKind::BitRot, rotten);
-                    self.trace
-                        .instant_lane(now, TraceLayer::Fault, 0, InstantKind::BitRot, rotten);
+                    self.obs.fault(now, 0, InstantKind::BitRot, rotten);
                 }
             }
         }
@@ -900,8 +852,7 @@ impl Engine {
         let before = sched.stats.recovery_ops;
         if let Some(fin) = self.cluster.backfill_wave(sched, now) {
             let dispatched = sched.stats.recovery_ops - before;
-            self.trace
-                .instant(now, TraceLayer::Cluster, InstantKind::Backfill, dispatched);
+            self.obs.instant(now, TraceLayer::Cluster, InstantKind::Backfill, dispatched);
             self.recovery_live = true;
             return Some(fin);
         }
@@ -931,7 +882,7 @@ impl Engine {
         let interval = sched.policy().scrub_interval;
         let tick = self.cluster.scrub_tick(sched, now);
         if tick.repaired > 0 {
-            self.trace.instant(
+            self.obs.instant(
                 tick.finish,
                 TraceLayer::Cluster,
                 InstantKind::ScrubRepair,
@@ -970,7 +921,7 @@ impl Engine {
                         // The op made it, but past its deadline — the
                         // requester above us already gave up on it.
                         self.res.timeouts += 1;
-                        self.trace.instant(
+                        self.obs.instant(
                             complete,
                             TraceLayer::Engine,
                             InstantKind::Timeout,
@@ -979,7 +930,7 @@ impl Engine {
                     }
                     if attempt > 0 {
                         self.res.failovers += 1;
-                        self.trace.instant(
+                        self.obs.instant(
                             complete,
                             TraceLayer::Engine,
                             InstantKind::Failover,
@@ -1006,7 +957,7 @@ impl Engine {
                 // arrive with the failure itself.
                 let detected = if cause.is_silent() {
                     self.res.timeouts += 1;
-                    self.trace
+                    self.obs
                         .instant(ready + p.deadline, TraceLayer::Engine, InstantKind::Timeout, 0);
                     ready + p.deadline
                 } else {
@@ -1015,7 +966,7 @@ impl Engine {
                 if attempt >= p.max_retries {
                     self.res.exhausted += 1;
                     self.degraded_ops += 1;
-                    self.trace.instant(
+                    self.obs.instant(
                         detected,
                         TraceLayer::Engine,
                         InstantKind::RetryExhausted,
@@ -1025,7 +976,7 @@ impl Engine {
                 }
                 let unit = self.faults.as_mut().map_or(0.0, |pl| pl.jitter_unit());
                 self.res.retries += 1;
-                self.trace.instant(
+                self.obs.instant(
                     detected,
                     TraceLayer::Engine,
                     InstantKind::Retry,
@@ -1088,8 +1039,7 @@ impl Engine {
                 .as_mut()
                 .and_then(|p| if p.sync_dma(t) { p.dma.assess_fetch() } else { None })
             {
-                self.trace
-                    .instant(t, TraceLayer::Qdma, InstantKind::DmaStall, stall.as_nanos());
+                self.obs.instant(t, TraceLayer::Qdma, InstantKind::DmaStall, stall.as_nanos());
                 t += stall;
             }
             let pre_h2c = t;
@@ -1101,7 +1051,7 @@ impl Engine {
                 if let Some(buf) = payload {
                     self.scratch = buf;
                 }
-                self.trace.instant(t, TraceLayer::Qdma, InstantKind::DmaError, 0);
+                self.obs.instant(t, TraceLayer::Qdma, InstantKind::DmaError, 0);
                 return AttemptResult::Fail { start, at: t, cause: FailCause::DmaH2c };
             }
             // Placement kernel runs as data streams through the card:
@@ -1176,8 +1126,7 @@ impl Engine {
             if let Some(buf) = payload {
                 self.scratch = buf;
             }
-            self.trace
-                .instant(t, TraceLayer::Net, InstantKind::FrameDrop, bytes);
+            self.obs.instant(t, TraceLayer::Net, InstantKind::FrameDrop, bytes);
             return AttemptResult::Fail { start, at: t, cause: FailCause::LinkDrop };
         }
 
@@ -1265,8 +1214,7 @@ impl Engine {
             // many replicas/shards unavailable).  The retry path
             // re-places through the epoch-bumped CRUSH walk; without a
             // policy the caller charges the legacy timeout penalty.
-            self.trace
-                .instant(t, TraceLayer::Cluster, InstantKind::ClusterUnavailable, 0);
+            self.obs.instant(t, TraceLayer::Cluster, InstantKind::ClusterUnavailable, 0);
             return AttemptResult::Fail {
                 start,
                 at: t,
@@ -1294,8 +1242,7 @@ impl Engine {
             .as_mut()
             .is_some_and(|p| p.sync_link(complete) && p.link.assess_response() == LinkVerdict::Corrupt)
         {
-            self.trace
-                .instant(complete, TraceLayer::Net, InstantKind::FrameCorrupt, bytes);
+            self.obs.instant(complete, TraceLayer::Net, InstantKind::FrameCorrupt, bytes);
             return AttemptResult::Fail {
                 start,
                 at: complete,
@@ -1315,8 +1262,7 @@ impl Engine {
                 .as_mut()
                 .is_some_and(|p| p.sync_dma(complete) && p.dma.assess_c2h())
             {
-                self.trace
-                    .instant(complete, TraceLayer::Qdma, InstantKind::DmaError, 1);
+                self.obs.instant(complete, TraceLayer::Qdma, InstantKind::DmaError, 1);
                 return AttemptResult::Fail {
                     start,
                     at: complete,
@@ -1327,33 +1273,15 @@ impl Engine {
         complete += costs.complete_latency;
 
         // --- Stage spans ------------------------------------------------
-        // Every span above telescopes `start → complete`, so recording
-        // all eleven (zeros included) keeps Σ stage means == e2e mean.
-        // Failed ops (the `None` outcome above) are charged a timeout,
-        // not a decomposition, and stay out of the tracer.
-        if let Some(tracer) = self.tracer.as_mut() {
+        // Every span above telescopes `start → complete`, so folding all
+        // eleven (zeros included) keeps Σ stage means == e2e mean, and
+        // the ring's chain on this I/O's lane has a uniform shape.
+        // Failed attempts return above: they are charged a timeout or
+        // retried, not decomposed, so a retried op contributes only its
+        // final, successful attempt.
+        if self.obs.depth() >= TraceDepth::Stages {
             let p = &costs.parts;
-            tracer.record(Stage::Submit, p.submit);
-            tracer.record(Stage::RingEnter, p.ring_enter);
-            tracer.record(Stage::BlkMq, p.blk_mq);
-            tracer.record(Stage::Uifd, p.uifd);
-            tracer.record(Stage::QdmaH2C, span_h2c);
-            tracer.record(Stage::Accel, p.accel + span_accel_card);
-            tracer.record(Stage::NetTx, p.net_tx + span_net_fpga + outcome.net_tx);
-            tracer.record(Stage::OsdService, outcome.osd_service);
-            tracer.record(Stage::NetRx, outcome.net_rx);
-            tracer.record(Stage::QdmaC2H, span_c2h);
-            tracer.record(Stage::Complete, costs.complete_latency);
-            tracer.record_op();
-        }
-        // The flight recorder gets the same decomposition as a span
-        // chain: eleven begin/end pairs telescoping `start → complete`
-        // on this I/O's lane (zero-width spans included, so every chain
-        // has a uniform shape).  Retried ops emit only their final,
-        // successful attempt — failed attempts return above.
-        if self.trace.is_on() {
-            let p = &costs.parts;
-            self.trace.op_spans(
+            self.obs.op_spans(
                 start,
                 &[
                     (Stage::Submit, p.submit),
@@ -1448,16 +1376,16 @@ impl Engine {
         if let Some(origin) = origin.filter(|_| scrub > SimDuration::ZERO) {
             run.queue.schedule(origin + scrub, Token::Scrub);
         }
-        let recording = self.trace.is_on();
+        let recording = self.obs.depth() >= TraceDepth::Spans;
         let mut next = run.queue.pop();
         while let Some((now, token)) = next {
             self.events += 1;
             // Telemetry gauge sampling keys off pop times, which the
             // queue guarantees are monotone nondecreasing — windows
             // strictly before the current one close here.
-            if self.tele.needs_sample(now) {
+            if self.obs.needs_sample(now) {
                 let snap = self.gauge_snapshot(now, run.inflight, run.queue.len() as u32);
-                self.tele.sample(now, snap);
+                self.obs.sample(now, snap);
             }
             if self.faults.is_some() && self.apply_due_faults(now) {
                 run.queue.set_lookahead(self.derive_lookahead(now));
@@ -1496,7 +1424,7 @@ impl Engine {
                 continue;
             };
             if recording {
-                self.trace.set_ctx(io.io, io.lane);
+                self.obs.set_ctx(io.io, io.lane);
             }
             next = match self.do_io(ready, &io) {
                 IoDisposition::Done { start, complete } => run.complete(self, &io, start, complete),
@@ -1521,9 +1449,7 @@ impl Engine {
             self.degraded_ops,
             self.verify_failures,
         );
-        if let Some(tracer) = &self.tracer {
-            report.breakdown = Some(crate::report::StageBreakdown::from_tracer(tracer));
-        }
+        report.breakdown = self.obs.stages(crate::report::StageBreakdown::from_tracer);
         let cache = self.cluster.map().placement_cache_stats();
         report.counters = Some(crate::report::PerfCounters {
             events: self.events,
@@ -1542,16 +1468,13 @@ impl Engine {
         }
         report.recovery = self.recovery_counters();
         // Close out the telemetry plane (a no-op when it is off, so
-        // baseline reports stay byte-identical): keep the run histogram
-        // for the telescoping checks, take the final gauge sample and
-        // attach the SLO section.
-        if self.tele.is_on() {
+        // baseline reports stay byte-identical): take the final gauge
+        // sample, attach the SLO section and keep the run histogram for
+        // the telescoping checks.
+        let end = run.last_complete;
+        if let Some((summary, cfg)) = self.obs.finish(end, || self.gauge_snapshot(end, 0, 0)) {
+            report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
             self.last_hist = Some(run.hist.clone());
-            let snap = self.gauge_snapshot(run.last_complete, 0, 0);
-            if let Some(summary) = self.tele.finish(run.last_complete, snap) {
-                let cfg = self.tele.with(|r| r.config()).expect("handle is on");
-                report.slo = Some(crate::report::SloReport::from_summary(&summary, &cfg));
-            }
         }
         (report, run)
     }
@@ -1693,7 +1616,7 @@ impl<'a> Run<'a> {
                     // Admission queue full: the op is refused at its
                     // arrival instant — a load shed, not a deferral.
                     *dropped += 1;
-                    eng.tele.drop_op(now);
+                    eng.obs.drop_op(now);
                     return None;
                 }
                 self.inflight += 1;
@@ -1754,15 +1677,15 @@ impl<'a> Run<'a> {
     fn record(&mut self, eng: &Engine, at: SimTime, latency: SimDuration, len: u32) {
         self.hist.record(latency);
         self.counter.record(len as u64);
-        eng.tele.op(at, latency, len as u64);
+        eng.obs.op(at, latency, len as u64);
         self.last_complete = self.last_complete.max(at);
-        if eng.trace.full() {
-            eng.trace.counter(at, "inflight_ops", self.inflight as u64);
+        if eng.obs.full() {
+            eng.obs.counter(at, "inflight_ops", self.inflight as u64);
             let (name, value) = match self.admission {
                 Admission::Closed { .. } => ("queue_depth", self.queue.len() as u64),
                 Admission::Open { dropped, .. } => ("admission_drops", dropped),
             };
-            eng.trace.counter(at, name, value);
+            eng.obs.counter(at, name, value);
         }
     }
 
@@ -2282,8 +2205,8 @@ mod tests {
         let mut e = Engine::new(cfg);
         e.run_trace(vec![object_ops(40); jobs as usize], iodepth);
         let max = e
-            .telemetry()
-            .with(|r| r.windows().iter().map(|w| w.inflight).max())
+            .observer()
+            .series(|r| r.windows().iter().map(|w| w.inflight).max())
             .flatten()
             .expect("telemetry armed and windows recorded");
         assert!(max > 0, "steady state keeps slots in flight");

@@ -382,12 +382,10 @@ impl SloReport {
 
 /// The outcome of one engine run (one bar in one figure).
 ///
-/// `Serialize`/`Deserialize` are hand-written (mirroring exactly what
-/// the derive generates for the other fields) so the optional sections
-/// (`breakdown`, `counters`, `resilience`, `load_curve`) are emitted
-/// only when present: baseline runs must serialize byte-identically to
-/// reports that predate each feature.
-#[derive(Debug, Clone, PartialEq)]
+/// The optional sections are omitted — not `null` — when absent, so a
+/// baseline report serializes to exactly its pre-feature bytes and
+/// every optional key follows the one convention.
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RunReport {
     /// Configuration label, e.g. `"DeLiBA-K (HW, replication)"`.
     pub config: String,
@@ -409,85 +407,28 @@ pub struct RunReport {
     pub verify_failures: u64,
     /// Measurement window, seconds of virtual time.
     pub window_s: f64,
-    /// Per-stage latency decomposition (present when the engine ran
-    /// with `trace_stages`).
+    /// Per-stage latency decomposition (present when the engine traced
+    /// at `TraceDepth::Stages` or deeper).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub breakdown: Option<StageBreakdown>,
     /// Engine hot-path counters (present on engine-produced reports).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub counters: Option<PerfCounters>,
     /// Fault-plane / resilience counters (present only when a fault
     /// schedule or resilience policy was active).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResilienceCounters>,
     /// Background recovery/backfill/scrub counters (present only when
     /// the engine ran with a recovery policy armed).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub recovery: Option<RecoveryCounters>,
     /// Open-loop offered-load sweep (present only on `loadcurve` runs).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub load_curve: Option<LoadCurve>,
     /// SLO attainment + burn-rate alerts (present only when the engine
     /// ran with the telemetry plane armed).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub slo: Option<SloReport>,
-}
-
-impl Serialize for RunReport {
-    fn serialize_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("config".to_string(), self.config.serialize_value()),
-            ("workload".to_string(), self.workload.serialize_value()),
-            ("mean_latency_us".to_string(), self.mean_latency_us.serialize_value()),
-            ("p99_latency_us".to_string(), self.p99_latency_us.serialize_value()),
-            ("throughput_mbps".to_string(), self.throughput_mbps.serialize_value()),
-            ("kiops".to_string(), self.kiops.serialize_value()),
-            ("ops".to_string(), self.ops.serialize_value()),
-            ("degraded_ops".to_string(), self.degraded_ops.serialize_value()),
-            ("verify_failures".to_string(), self.verify_failures.serialize_value()),
-            ("window_s".to_string(), self.window_s.serialize_value()),
-        ];
-        // Optional sections are omitted — not `null` — when absent, so a
-        // baseline report serializes to exactly its pre-feature bytes and
-        // every optional key follows the one convention.
-        if self.breakdown.is_some() {
-            fields.push(("breakdown".to_string(), self.breakdown.serialize_value()));
-        }
-        if self.counters.is_some() {
-            fields.push(("counters".to_string(), self.counters.serialize_value()));
-        }
-        if self.resilience.is_some() {
-            fields.push(("resilience".to_string(), self.resilience.serialize_value()));
-        }
-        if self.recovery.is_some() {
-            fields.push(("recovery".to_string(), self.recovery.serialize_value()));
-        }
-        if self.load_curve.is_some() {
-            fields.push(("load_curve".to_string(), self.load_curve.serialize_value()));
-        }
-        if self.slo.is_some() {
-            fields.push(("slo".to_string(), self.slo.serialize_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for RunReport {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        let field = |name: &str| value.get(name).unwrap_or(&Value::Null);
-        Ok(RunReport {
-            config: Deserialize::deserialize_value(field("config"))?,
-            workload: Deserialize::deserialize_value(field("workload"))?,
-            mean_latency_us: Deserialize::deserialize_value(field("mean_latency_us"))?,
-            p99_latency_us: Deserialize::deserialize_value(field("p99_latency_us"))?,
-            throughput_mbps: Deserialize::deserialize_value(field("throughput_mbps"))?,
-            kiops: Deserialize::deserialize_value(field("kiops"))?,
-            ops: Deserialize::deserialize_value(field("ops"))?,
-            degraded_ops: Deserialize::deserialize_value(field("degraded_ops"))?,
-            verify_failures: Deserialize::deserialize_value(field("verify_failures"))?,
-            window_s: Deserialize::deserialize_value(field("window_s"))?,
-            breakdown: Deserialize::deserialize_value(field("breakdown"))?,
-            counters: Deserialize::deserialize_value(field("counters"))?,
-            resilience: Deserialize::deserialize_value(field("resilience"))?,
-            recovery: Deserialize::deserialize_value(field("recovery"))?,
-            load_curve: Deserialize::deserialize_value(field("load_curve"))?,
-            slo: Deserialize::deserialize_value(field("slo"))?,
-        })
-    }
 }
 
 impl RunReport {

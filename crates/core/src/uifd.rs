@@ -19,7 +19,6 @@ use deliba_blkmq::{BlockRequest, MultiQueue, ReqOp, SchedPolicy};
 use deliba_qdma::{
     DescriptorEngine, EngineConfig as QdmaConfig, Descriptor, IfType, QueueSet, SparseMemory,
 };
-use deliba_sim::{InstantKind, SimTime, TraceHandle, TraceLayer};
 
 /// Base host address where per-tag DMA buffers live.
 const BUF_BASE: u64 = 0x1000_0000;
@@ -35,7 +34,6 @@ pub struct Uifd {
     /// Host DMA-able memory.
     pub host_mem: SparseMemory,
     nr_queues: usize,
-    trace: TraceHandle,
 }
 
 impl Uifd {
@@ -52,15 +50,7 @@ impl Uifd {
             qdma,
             host_mem: SparseMemory::new(),
             nr_queues,
-            trace: TraceHandle::off(),
         }
-    }
-
-    /// Attach a flight-recorder handle (full-depth recording marks each
-    /// DMQ dispatch and QDMA descriptor post; the lane is the hardware
-    /// context / queue id).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// DeLiBA-K's shape: 3 queues, 256 tags (the H2C concurrency limit).
@@ -122,27 +112,9 @@ impl Uifd {
         out: &mut Vec<BlockRequest>,
     ) -> usize {
         self.mq.dispatch_into(hctx, now_ns, max, out);
-        let tracing = self.trace.full();
         for req in out.iter() {
             let tag = req.tag.expect("dispatched requests carry tags");
             let qid = hctx as u16;
-            if tracing {
-                let at = SimTime::from_nanos(now_ns);
-                self.trace.instant_lane(
-                    at,
-                    TraceLayer::BlkMq,
-                    hctx as u32,
-                    InstantKind::BlkMqDispatch,
-                    tag as u64,
-                );
-                self.trace.instant_lane(
-                    at,
-                    TraceLayer::Qdma,
-                    qid as u32,
-                    InstantKind::DescriptorPost,
-                    req.user_data,
-                );
-            }
             let q = self.qdma.queue_mut(qid).expect("queue exists");
             match req.op {
                 ReqOp::Write => {

@@ -22,22 +22,28 @@
 //!   platform or `std` hash ordering;
 //! * [`metrics`] — latency histograms, counters and summary statistics used
 //!   by the benchmark harness to print the paper's tables and figures;
-//! * [`stage`] — per-I/O stage-span tracing ([`Stage`] taxonomy +
-//!   [`StageTracer`]) behind the engine's latency-breakdown reports;
-//! * [`trace`] — the opt-in per-I/O flight recorder ([`TraceHandle`] /
-//!   [`trace::TraceSink`]): a bounded ring of typed events with
-//!   Chrome-trace export and worst-K span-chain reconstruction;
+//! * [`stage`] — the per-I/O [`Stage`] taxonomy and the per-stage
+//!   latency fold ([`StageTracer`]) behind the engine's latency
+//!   breakdown reports;
+//! * [`trace`] — the per-I/O flight recorder ([`trace::TraceSink`]): a
+//!   bounded ring of typed events with Chrome-trace export and worst-K
+//!   span-chain reconstruction;
 //! * [`resource`] — queueing-theory building blocks (single/multi servers,
 //!   bandwidth pipes, token buckets) shared by the network, OSD, PCIe and
 //!   host-CPU models;
-//! * [`timeseries`] — the opt-in time-resolved telemetry plane
-//!   ([`TelemetryHandle`] / [`timeseries::MetricsRecorder`]):
-//!   fixed-width virtual-time windows of ops/latency/gauge series with
-//!   SLO burn-rate alerts and CSV/JSON/Prometheus/Chrome exporters.
+//! * [`timeseries`] — the time-resolved telemetry plane
+//!   ([`timeseries::MetricsRecorder`]): fixed-width virtual-time windows
+//!   of ops/latency/gauge series with SLO burn-rate alerts and
+//!   CSV/JSON/Prometheus/Chrome exporters;
+//! * [`observer`] — the one opt-in observation handle ([`Observer`])
+//!   the engine and every layer record through.  It owns the three
+//!   sinks above, allocates each only when its level is armed, and
+//!   emits each typed event once.
 
 pub mod event;
 pub mod lane;
 pub mod metrics;
+pub mod observer;
 pub mod resource;
 pub mod rng;
 pub mod stage;
@@ -48,9 +54,10 @@ pub mod trace;
 pub use event::EventQueue;
 pub use lane::{LaneQueue, WindowStats};
 pub use metrics::{Counter, Histogram, Summary};
+pub use observer::Observer;
 pub use stage::{Stage, StageTracer};
-pub use timeseries::{GaugeSnapshot, SloAlert, SloSummary, TelemetryConfig, TelemetryHandle};
-pub use trace::{InstantKind, TraceDepth, TraceHandle, TraceLayer};
+pub use timeseries::{GaugeSnapshot, SloAlert, SloSummary, TelemetryConfig};
+pub use trace::{InstantKind, TraceDepth, TraceLayer};
 pub use resource::{Bandwidth, MultiServer, Server, TokenBucket};
 pub use rng::{SimRng, SplitMix64, Xoshiro256};
 pub use time::{round_nonneg, SimDuration, SimTime};

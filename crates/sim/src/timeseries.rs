@@ -11,10 +11,9 @@
 //!
 //! Design constraints mirror the flight recorder's:
 //!
-//! 1. **Zero cost when disabled.**  Every emit goes through a
-//!    [`TelemetryHandle`] — a newtype over
-//!    `Option<Rc<RefCell<MetricsRecorder>>>` — so a disabled plane is
-//!    one branch per site, no allocation, no arithmetic.
+//! 1. **Zero cost when disabled.**  Every emit goes through the
+//!    shared [`Observer`](crate::Observer) handle, so a disabled plane
+//!    is one branch per site, no allocation, no arithmetic.
 //! 2. **Zero-alloc hot path when enabled.**  [`MetricsRecorder::op`]
 //!    indexes a window by `completion_ns / width_ns` and bumps counters
 //!    and histogram buckets in place; allocation happens only when a
@@ -44,9 +43,7 @@
 use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::InstantKind;
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// Link classes the per-window utilization gauge aggregates over (the
 /// topology's pipes grouped by role).
@@ -252,7 +249,7 @@ pub struct SloSummary {
     pub alerts: Vec<SloAlert>,
 }
 
-/// The windowed aggregator behind [`TelemetryHandle`].
+/// The windowed aggregator: the [`Observer`](crate::Observer)'s series sink.
 #[derive(Debug)]
 pub struct MetricsRecorder {
     cfg: TelemetryConfig,
@@ -817,73 +814,6 @@ impl MetricsRecorder {
     }
 }
 
-/// The shared, cloneable handle the engine records through.  `None`
-/// when the plane is off: every emit is then a single branch with
-/// nothing behind it.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryHandle(Option<Rc<RefCell<MetricsRecorder>>>);
-
-impl TelemetryHandle {
-    /// A disabled handle (the default everywhere).
-    pub fn off() -> Self {
-        TelemetryHandle(None)
-    }
-
-    /// A recording handle at `cfg`.
-    pub fn recording(cfg: TelemetryConfig) -> Self {
-        TelemetryHandle(Some(Rc::new(RefCell::new(MetricsRecorder::new(cfg)))))
-    }
-
-    /// Is the plane recording?
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record one completed op (see [`MetricsRecorder::op`]).
-    pub fn op(&self, complete: SimTime, latency: SimDuration, bytes: u64) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().op(complete, latency, bytes);
-    }
-
-    /// Record one admission drop.
-    pub fn drop_op(&self, at: SimTime) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().drop_op(at);
-    }
-
-    /// Pin a fault firing to the timeline.
-    pub fn annotate(&self, at: SimTime, kind: InstantKind, detail: u64) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().annotate(at, kind, detail);
-    }
-
-    /// Should the engine build a gauge snapshot at `now`?
-    pub fn needs_sample(&self, now: SimTime) -> bool {
-        let Some(rec) = &self.0 else { return false };
-        rec.borrow().needs_sample(now)
-    }
-
-    /// Close windows up to `now`'s with `snap`'s gauges.
-    pub fn sample(&self, now: SimTime, snap: GaugeSnapshot) {
-        let Some(rec) = &self.0 else { return };
-        rec.borrow_mut().sample(now, snap);
-    }
-
-    /// Close every remaining window at run end; `None` when off,
-    /// otherwise the SLO verdict.
-    pub fn finish(&self, end: SimTime, snap: GaugeSnapshot) -> Option<SloSummary> {
-        let rec = self.0.as_ref()?;
-        let mut r = rec.borrow_mut();
-        r.finish(end, snap);
-        Some(r.slo())
-    }
-
-    /// Run `f` against the recorder; `None` when off.
-    pub fn with<R>(&self, f: impl FnOnce(&MetricsRecorder) -> R) -> Option<R> {
-        self.0.as_ref().map(|r| f(&r.borrow()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1105,7 +1035,7 @@ mod tests {
     }
 
     #[test]
-    fn env_value_parsing_and_handle_branches() {
+    fn env_value_parsing() {
         assert_eq!(TelemetryConfig::from_env_value("off"), None);
         assert_eq!(TelemetryConfig::from_env_value("0"), None);
         assert_eq!(TelemetryConfig::from_env_value(""), None);
@@ -1113,18 +1043,5 @@ mod tests {
             TelemetryConfig::from_env_value("1"),
             Some(TelemetryConfig::default())
         );
-        let off = TelemetryHandle::off();
-        assert!(!off.is_on());
-        off.op(us(1), SimDuration::from_micros(1), 1);
-        off.drop_op(us(1));
-        off.annotate(us(1), InstantKind::OsdCrash, 0);
-        assert!(!off.needs_sample(us(1_000_000)));
-        assert!(off.finish(us(1), GaugeSnapshot::default()).is_none());
-        let on = TelemetryHandle::recording(TelemetryConfig::default());
-        assert!(on.is_on());
-        on.op(us(1), SimDuration::from_micros(1), 1);
-        let slo = on.finish(us(1), GaugeSnapshot::default()).unwrap();
-        assert_eq!(slo.total_ops, 1);
-        assert_eq!(on.with(|r| r.total_ops()), Some(1));
     }
 }

@@ -1,6 +1,6 @@
 //! Per-I/O flight recorder.
 //!
-//! Aggregate telemetry (`StageTracer` histograms, perf counters) says
+//! Aggregate telemetry (stage histograms, perf counters) says
 //! *what* a run did; it cannot say what one I/O, one queue slot, or one
 //! fault window did.  The flight recorder fills that gap: an opt-in,
 //! bounded ring buffer of typed [`TraceEvent`]s — span begin/end per
@@ -11,9 +11,9 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when disabled.**  Every layer holds a [`TraceHandle`]
-//!    — a newtype over `Option<Rc<RefCell<TraceSink>>>` — and every
-//!    emit method is a single branch on `None` with no allocation, no
+//! 1. **Zero cost when disabled.**  Every layer records through the
+//!    shared [`Observer`](crate::Observer) handle, whose emit methods
+//!    are a single branch when the ring is off, with no allocation, no
 //!    formatting, and no time arithmetic behind it.
 //! 2. **Bounded.**  The sink is a drop-oldest ring of at most
 //!    [`RING_CAPACITY`] events; a `dropped` counter keeps the loss
@@ -28,34 +28,32 @@
 
 use crate::stage::Stage;
 use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 /// Default ring bound: events beyond this drop the oldest entry.
 /// (~48 B/event, so a full ring is ~50 MB — only ever allocated when
 /// recording is on.)
 pub const RING_CAPACITY: usize = 1 << 20;
 
-/// How much the recorder captures.
+/// How much per-I/O tracing a run does.  Each level adds to the one
+/// below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceDepth {
-    /// Recorder off: no sink is allocated, emits cost one branch.
+    /// Tracing off: no sink is allocated, emits cost one branch.
     #[default]
     Off,
-    /// Per-I/O stage spans plus fault/retry instants.
+    /// The per-stage latency histograms behind `StageBreakdown`; no
+    /// flight-recorder ring.
+    Stages,
+    /// The ring too: per-I/O stage spans plus fault/retry instants.
     Spans,
     /// Everything: spans, instants, per-layer events (link sends, DMA
-    /// transfers, OSD service, descriptor posts) and counter samples.
+    /// transfers, OSD service, accelerator placements) and counter
+    /// samples.
     Full,
 }
 
 impl TraceDepth {
-    /// Is any recording enabled?
-    pub fn is_on(self) -> bool {
-        self != TraceDepth::Off
-    }
-
     /// Parse a `DELIBA_TRACE` / `--trace-depth` value.
     pub fn parse(s: &str) -> Option<TraceDepth> {
         match s.trim().to_ascii_lowercase().as_str() {
@@ -70,6 +68,7 @@ impl TraceDepth {
     pub fn label(self) -> &'static str {
         match self {
             TraceDepth::Off => "off",
+            TraceDepth::Stages => "stages",
             TraceDepth::Spans => "spans",
             TraceDepth::Full => "full",
         }
@@ -180,11 +179,6 @@ pub enum InstantKind {
     DmaH2c,
     /// Qdma: a DMA payload crossed PCIe card→host (detail = bytes).
     DmaC2h,
-    /// BlkMq: the DMQ dispatched a request to its queue set (detail =
-    /// driver tag).
-    BlkMqDispatch,
-    /// Qdma: a descriptor was posted to a ring (detail = user token).
-    DescriptorPost,
     /// Accel: a placement ran on the card (detail = 1 when the DFX RM
     /// served it, 0 for the static Straw2 fallback).
     AccelPlace,
@@ -226,8 +220,6 @@ impl InstantKind {
             InstantKind::LinkTx => "link_tx",
             InstantKind::DmaH2c => "dma_h2c",
             InstantKind::DmaC2h => "dma_c2h",
-            InstantKind::BlkMqDispatch => "blk_mq_dispatch",
-            InstantKind::DescriptorPost => "descriptor_post",
             InstantKind::AccelPlace => "accel_place",
             InstantKind::BitRot => "bit_rot",
             InstantKind::Backfill => "backfill",
@@ -394,6 +386,47 @@ impl TraceSink {
         self.events.push_back(ev);
     }
 
+    /// Tag subsequent events with the I/O id and queue-slot lane the
+    /// engine is currently executing (layers below the engine do not
+    /// know either).
+    pub fn set_ctx(&mut self, io: u64, lane: u32) {
+        self.cur_io = io;
+        self.cur_lane = lane;
+    }
+
+    /// Record one I/O's full stage walk: `spans` telescope from `start`,
+    /// in order, each producing a begin/end pair on the current lane.
+    pub fn op_spans(&mut self, start: SimTime, spans: &[(Stage, SimDuration)]) {
+        let (io, lane, layer) = (self.cur_io, self.cur_lane, TraceLayer::Engine);
+        let mut at = start;
+        for &(stage, d) in spans {
+            self.push(TraceEvent { at, io, layer, lane, kind: TraceEventKind::SpanBegin(stage) });
+            at += d;
+            self.push(TraceEvent { at, io, layer, lane, kind: TraceEventKind::SpanEnd(stage) });
+        }
+    }
+
+    /// Record an instant on an explicit lane (OSD id, queue id, ring
+    /// id), or on the current I/O's lane when `lane` is `None`.
+    pub fn instant(
+        &mut self,
+        at: SimTime,
+        layer: TraceLayer,
+        lane: Option<u32>,
+        kind: InstantKind,
+        detail: u64,
+    ) {
+        let (io, lane) = (self.cur_io, lane.unwrap_or(self.cur_lane));
+        let kind = TraceEventKind::Instant { kind, detail };
+        self.push(TraceEvent { at, io, layer, lane, kind });
+    }
+
+    /// Record a counter sample (Chrome counter track on the engine pid).
+    pub fn counter(&mut self, at: SimTime, name: &'static str, value: u64) {
+        let kind = TraceEventKind::Counter { name, value };
+        self.push(TraceEvent { at, io: self.cur_io, layer: TraceLayer::Engine, lane: 0, kind });
+    }
+
     /// The recorded events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
@@ -523,151 +556,6 @@ impl TraceSink {
     }
 }
 
-/// The shared, cloneable handle every layer records through.  `None`
-/// when the recorder is off: each emit method is then a single branch,
-/// with no allocation or arithmetic behind it.
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle(Option<Rc<RefCell<TraceSink>>>);
-
-impl TraceHandle {
-    /// A disabled handle (the default everywhere).
-    pub fn off() -> Self {
-        TraceHandle(None)
-    }
-
-    /// A recording handle, or a disabled one when `depth` is `Off`.
-    pub fn recording(depth: TraceDepth, cap: usize) -> Self {
-        if depth.is_on() {
-            TraceHandle(Some(Rc::new(RefCell::new(TraceSink::new(depth, cap)))))
-        } else {
-            TraceHandle(None)
-        }
-    }
-
-    /// Is any recording enabled?
-    pub fn is_on(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Is the recorder capturing per-layer events and counters?
-    pub fn full(&self) -> bool {
-        self.0
-            .as_ref()
-            .is_some_and(|s| s.borrow().depth == TraceDepth::Full)
-    }
-
-    /// Tag subsequent events with the I/O id and queue-slot lane the
-    /// engine is currently executing (layers below the engine do not
-    /// know either).
-    pub fn set_ctx(&self, io: u64, lane: u32) {
-        if let Some(sink) = &self.0 {
-            let mut s = sink.borrow_mut();
-            s.cur_io = io;
-            s.cur_lane = lane;
-        }
-    }
-
-    /// Emit one I/O's full stage walk: `spans` telescope from `start`,
-    /// in order, each producing a begin/end pair on the current lane.
-    pub fn op_spans(&self, start: SimTime, spans: &[(Stage, SimDuration)]) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let (io, lane) = (s.cur_io, s.cur_lane);
-        let mut at = start;
-        for &(stage, d) in spans {
-            s.push(TraceEvent {
-                at,
-                io,
-                layer: TraceLayer::Engine,
-                lane,
-                kind: TraceEventKind::SpanBegin(stage),
-            });
-            at += d;
-            s.push(TraceEvent {
-                at,
-                io,
-                layer: TraceLayer::Engine,
-                lane,
-                kind: TraceEventKind::SpanEnd(stage),
-            });
-        }
-    }
-
-    /// Emit an instant on the current I/O's lane.
-    pub fn instant(&self, at: SimTime, layer: TraceLayer, kind: InstantKind, detail: u64) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let (io, lane) = (s.cur_io, s.cur_lane);
-        s.push(TraceEvent {
-            at,
-            io,
-            layer,
-            lane,
-            kind: TraceEventKind::Instant { kind, detail },
-        });
-    }
-
-    /// Emit an instant on an explicit lane (OSD id, queue id, ring id).
-    pub fn instant_lane(
-        &self,
-        at: SimTime,
-        layer: TraceLayer,
-        lane: u32,
-        kind: InstantKind,
-        detail: u64,
-    ) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let io = s.cur_io;
-        s.push(TraceEvent {
-            at,
-            io,
-            layer,
-            lane,
-            kind: TraceEventKind::Instant { kind, detail },
-        });
-    }
-
-    /// Emit a counter sample (Chrome counter track on the engine pid).
-    pub fn counter(&self, at: SimTime, name: &'static str, value: u64) {
-        let Some(sink) = &self.0 else { return };
-        let mut s = sink.borrow_mut();
-        let io = s.cur_io;
-        s.push(TraceEvent {
-            at,
-            io,
-            layer: TraceLayer::Engine,
-            lane: 0,
-            kind: TraceEventKind::Counter { name, value },
-        });
-    }
-
-    /// Run `f` against the sink; `None` when the recorder is off.
-    pub fn with<R>(&self, f: impl FnOnce(&TraceSink) -> R) -> Option<R> {
-        self.0.as_ref().map(|s| f(&s.borrow()))
-    }
-
-    /// Chrome trace-event JSON of the ring; `None` when off.
-    pub fn chrome_json(&self) -> Option<String> {
-        self.with(|s| s.chrome_json())
-    }
-
-    /// Reconstructed per-I/O span chains (empty when off).
-    pub fn span_chains(&self) -> Vec<IoChain> {
-        self.with(|s| s.span_chains()).unwrap_or_default()
-    }
-
-    /// The `k` slowest I/Os (empty when off).
-    pub fn worst_k(&self, k: usize) -> Vec<IoChain> {
-        self.with(|s| s.worst_k(k)).unwrap_or_default()
-    }
-
-    /// Recorder stats; `None` when off.
-    pub fn stats(&self) -> Option<TraceStats> {
-        self.with(|s| s.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,7 +584,7 @@ mod tests {
         assert_eq!(TraceDepth::parse("full"), Some(TraceDepth::Full));
         assert_eq!(TraceDepth::parse("2"), Some(TraceDepth::Full));
         assert_eq!(TraceDepth::parse("bogus"), None);
-        assert!(!TraceDepth::Off.is_on() && TraceDepth::Spans.is_on());
+        assert!(TraceDepth::Off < TraceDepth::Stages && TraceDepth::Stages < TraceDepth::Spans);
         assert_eq!(TraceDepth::Full.label(), "full");
     }
 
@@ -706,20 +594,6 @@ mod tests {
         assert_eq!(pids, (1..=7).collect::<Vec<_>>());
         assert_eq!(TraceLayer::Engine.pid(), 1);
         assert_eq!(TraceLayer::Fault.pid(), 7);
-    }
-
-    #[test]
-    fn off_handle_is_inert() {
-        let h = TraceHandle::off();
-        assert!(!h.is_on() && !h.full());
-        h.set_ctx(1, 2);
-        h.op_spans(SimTime::ZERO, &[(Stage::Submit, SimDuration::from_nanos(5))]);
-        h.instant(SimTime::ZERO, TraceLayer::Fault, InstantKind::OsdCrash, 3);
-        h.counter(SimTime::ZERO, "inflight_ops", 4);
-        assert_eq!(h.chrome_json(), None);
-        assert!(h.span_chains().is_empty());
-        assert!(h.stats().is_none());
-        assert!(!TraceHandle::recording(TraceDepth::Off, 16).is_on());
     }
 
     #[test]
@@ -762,8 +636,8 @@ mod tests {
     }
 
     #[test]
-    fn handle_op_spans_telescope() {
-        let h = TraceHandle::recording(TraceDepth::Spans, 1024);
+    fn op_spans_telescope() {
+        let mut h = TraceSink::new(TraceDepth::Spans, 1024);
         h.set_ctx(7, 2);
         h.op_spans(
             SimTime::from_nanos(1_000),
@@ -788,15 +662,16 @@ mod tests {
     #[test]
     fn chrome_json_shape_and_determinism() {
         let build = || {
-            let h = TraceHandle::recording(TraceDepth::Full, 1024);
+            let mut h = TraceSink::new(TraceDepth::Full, 1024);
             h.set_ctx(0, 1);
             h.op_spans(
                 SimTime::from_nanos(1_234),
                 &[(Stage::Submit, SimDuration::from_nanos(4_321))],
             );
-            h.instant(SimTime::from_nanos(2_000), TraceLayer::Fault, InstantKind::OsdCrash, 5);
+            let crash = InstantKind::OsdCrash;
+            h.instant(SimTime::from_nanos(2_000), TraceLayer::Fault, None, crash, 5);
             h.counter(SimTime::from_nanos(3_000), "inflight_ops", 32);
-            h.chrome_json().expect("recording")
+            h.chrome_json()
         };
         let json = build();
         assert_eq!(json, build(), "export must be deterministic");
@@ -818,7 +693,6 @@ mod tests {
     fn instant_labels_are_stable() {
         assert_eq!(InstantKind::OsdCrash.label(), "osd_crash");
         assert_eq!(InstantKind::CacheInvalidation.label(), "cache_invalidation");
-        assert_eq!(InstantKind::BlkMqDispatch.label(), "blk_mq_dispatch");
         assert_eq!(InstantKind::BitRot.label(), "bit_rot");
         assert_eq!(InstantKind::Backfill.label(), "backfill");
         assert_eq!(InstantKind::ScrubRepair.label(), "scrub_repair");

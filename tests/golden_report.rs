@@ -1,17 +1,20 @@
-//! Golden `RunReport` digests: three small engine runs whose whole
+//! Golden `RunReport` digests: small engine runs whose whole
 //! serialized report — latencies, counters, resilience and recovery
 //! sections, and the event queue's window accounting in
-//! `PerfCounters` — must not move by a byte.
+//! `PerfCounters` — must not move by a byte, plus the flight
+//! recorder's and the telemetry plane's exports.
 //!
-//! The constants are FNV-1a digests of `serde_json::to_string(&report)`.
-//! The first three were computed on the commit that still carried the
-//! sharded event queue and the prepare pool, before the engine moved
-//! onto the single serial event core; the last two (every fault, the
-//! recovery and scrub arms and both observers, closed- and open-loop)
-//! before the closed- and open-loop drivers merged into one run loop.
-//! So these tests pin those refactors (and any later one) to
-//! byte-identical output.  A deliberate model change updates them, and
-//! says so.
+//! The constants are FNV-1a digests of `serde_json::to_string(&report)`
+//! (or of the export text).  The first three were computed on the
+//! commit that still carried the sharded event queue and the prepare
+//! pool, before the engine moved onto the single serial event core; the
+//! next two (every fault, the recovery and scrub arms and both
+//! observers, closed- and open-loop) before the closed- and open-loop
+//! drivers merged into one run loop; the export digests before the
+//! stage tracer, the flight recorder and the telemetry plane moved
+//! behind one observation handle.  So these tests pin those refactors
+//! (and any later one) to byte-identical output.  A deliberate model
+//! change updates them, and says so.
 
 use deliba_k::cluster::RecoveryPolicy;
 use deliba_k::core::{Engine, EngineConfig, Generation, Mode, RunReport, TraceOp, IMAGE_BYTES};
@@ -193,11 +196,94 @@ fn open_loop_with_tracing_and_telemetry() {
     assert!(report.breakdown.is_some() && report.slo.is_some());
     assert_eq!(digest(report), "1d8790daae0eaa27");
     let timeline = engine
-        .telemetry()
-        .with(|r| r.timeline_json())
+        .observer()
+        .series(|r| r.timeline_json())
         .expect("telemetry armed");
     assert_eq!(
         format!("{:016x}", fnv1a(timeline.as_bytes())),
         "5cec96e0e5f8ab7d"
+    );
+}
+
+/// The flight recorder's and the telemetry plane's exports for a
+/// faulted closed loop at full trace depth with telemetry on: the
+/// Chrome trace, the trace with the telemetry counter tracks merged
+/// in, the window CSV and the Prometheus dump.  Each fault firing must
+/// reach both sinks exactly once: the ring's fault-layer instants (less
+/// the cache invalidations that follow an OSD crash or revive) equal
+/// the telemetry annotations, in order.
+#[test]
+fn full_depth_exports_and_single_emit_faults() {
+    use deliba_k::core::prometheus_dump;
+    use deliba_k::qdma::DmaFaultProfile;
+    use deliba_k::sim::trace::TraceEventKind;
+    use deliba_k::sim::{InstantKind, TraceDepth, TraceLayer};
+    let job = |j: u64| -> Vec<TraceOp> {
+        let obj = |i: u64| (j * 32 + i) * (4 << 20);
+        let writes = (0..32).map(|i| TraceOp::write(obj(i), 4096, true));
+        let reads = (0..32).map(|i| TraceOp::read(obj(i), 4096, true));
+        writes.chain(reads).collect()
+    };
+    let cfg = EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication)
+        .with_resilience(ResiliencePolicy::default())
+        .with_trace_depth(TraceDepth::Full)
+        .with_telemetry(TelemetryConfig::default().with_window(SimDuration::from_micros(250)));
+    let mut engine = Engine::new(cfg);
+    engine.set_fault_schedule(
+        FaultSchedule::new()
+            .bit_rot(us(200), 2)
+            .osd_flap(us(300), 11, SimDuration::from_micros(400))
+            .link_degrade(
+                us(500),
+                LinkFaultProfile {
+                    drop_p: 0.05,
+                    corrupt_p: 0.02,
+                },
+            )
+            .link_restore(us(900))
+            .dma_degrade(
+                us(600),
+                DmaFaultProfile {
+                    h2c_error_p: 0.05,
+                    c2h_error_p: 0.05,
+                    exhaust_p: 0.1,
+                },
+            )
+            .dma_restore(us(800))
+            .card_outage(us(1_000), SimDuration::from_micros(300)),
+    );
+    let report = engine.run_trace((0..2).map(job).collect(), 4);
+    assert_eq!(report.ops, 128);
+    assert_eq!(report.verify_failures, 0);
+    let obs = engine.observer();
+    let (chrome, stats) = obs.ring(|r| (r.chrome_json(), r.stats())).expect("recorder on");
+    let prom = prometheus_dump(&report, Some(&stats));
+    let faults: Vec<(SimTime, InstantKind, u64)> = obs
+        .ring(|s| {
+            s.events()
+                .filter(|e| e.layer == TraceLayer::Fault)
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::Instant { kind, detail }
+                        if kind != InstantKind::CacheInvalidation =>
+                    {
+                        Some((e.at, kind, detail))
+                    }
+                    _ => None,
+                })
+                .collect()
+        })
+        .expect("recorder on");
+    let (merged, csv, annotations) = obs
+        .series(|r| {
+            let anns = r.annotations().iter().map(|a| (a.at, a.kind, a.detail)).collect::<Vec<_>>();
+            (r.merge_into_chrome(&chrome), r.csv(), anns)
+        })
+        .expect("telemetry armed");
+    assert_eq!(faults.len(), 9, "{faults:?}");
+    assert_eq!(faults, annotations);
+    let hex = |s: &str| format!("{:016x}", fnv1a(s.as_bytes()));
+    assert_eq!(
+        [hex(&chrome), hex(&merged), hex(&csv), hex(&prom)],
+        ["97e1515d5058c841", "8830412042ef5773", "af198458974917d5", "aef06463da5ef024"]
     );
 }
