@@ -1039,9 +1039,10 @@ pub fn perf() -> Experiment {
     let queue_wall = t0.elapsed().as_secs_f64();
     let queue_evps = CHURN as f64 / queue_wall.max(1e-9);
 
-    // Byte-heavy engine cell: EC writes, whose wall-clock is dominated
-    // by payload fill, FNV checksum and RS(4, 2) arithmetic rather than
-    // event churn.  Best of 3 fresh engines, like the reference cell.
+    // Byte-heavy engine cell: EC writes, whose wall-clock is byte work
+    // (the payload fill with its fused checksum, RS(4, 2) encode and the
+    // shard page stores) rather than event churn.  Best of 3 fresh
+    // engines, like the reference cell.
     let ec_spec = FioSpec::paper(RwMode::Write, Pattern::Rand, 16384, CELL_OPS);
     let ec_wall = (0..3)
         .map(|_| {

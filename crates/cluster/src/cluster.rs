@@ -367,7 +367,7 @@ impl Cluster {
                             self.topology.server_to_server(now, s_from, s_to, len)
                         };
                         let fin = self.osds[dst as usize]
-                            .write_object(arrive, oid, data, false)
+                            .write_object(arrive, oid, &data, false)
                             .expect("destination is up");
                         report.bytes_moved += len;
                         report.completed = report.completed.max(fin);
@@ -432,7 +432,7 @@ impl Cluster {
                     let mut moved = false;
                     for idx in missing_idx {
                         let Some(dst) = targets.next() else { break };
-                        let shard = slots[idx].clone().expect("filled above");
+                        let shard = slots[idx].as_deref().expect("filled above");
                         let len = shard.len() as u64;
                         // Reconstruction runs on the client: shards flow
                         // client → destination server.
@@ -442,7 +442,7 @@ impl Cluster {
                             len,
                         );
                         let fin = self.osds[dst as usize]
-                            .write_object(arrive, oid, Bytes::from(shard), false)
+                            .write_object(arrive, oid, shard, false)
                             .expect("destination is up");
                         report.bytes_moved += len;
                         report.completed = report.completed.max(fin);
@@ -496,7 +496,7 @@ impl Cluster {
         // 2. Primary applies locally and forwards to replicas in
         //    parallel.
         let p_fin = self.osds[primary as usize]
-            .write_object(at_primary, oid, data.clone(), random)
+            .write_object(at_primary, oid, &data, random)
             .expect("primary is healthy");
         let mut commit = p_fin;
         for &rep in healthy.iter().skip(1) {
@@ -511,7 +511,7 @@ impl Cluster {
                     .max(at_primary)
             };
             let r_fin = self.osds[rep as usize]
-                .write_object(arrive, oid, data.clone(), random)
+                .write_object(arrive, oid, &data, random)
                 .expect("replica is healthy");
             let ack = if r_server == p_server {
                 r_fin + ACK_SAME_SERVER
@@ -847,7 +847,7 @@ impl Cluster {
         let mut last_arrive = now;
         let mut last_fin = now;
         let mut written = 0usize;
-        for (idx, shard) in shards.into_iter().enumerate() {
+        for (idx, shard) in shards.iter().enumerate() {
             let Some(&osd) = acting.get(idx) else {
                 continue;
             };
@@ -860,7 +860,7 @@ impl Cluster {
                 .client_to_server(now, server, shard.len() as u64);
             let shard_bytes = shard.len() as u64;
             let fin = self.osds[osd as usize]
-                .write_object(arrive, oid, Bytes::from(shard), random)
+                .write_object(arrive, oid, shard, random)
                 .expect("checked up");
             self.trace_osd_service(fin, osd, shard_bytes);
             let ack = self.topology.server_to_client(fin, server, CONTROL_BYTES);
@@ -1105,12 +1105,12 @@ impl Cluster {
                             best = Some((d, votes));
                         }
                     }
-                    let authoritative = best.expect("non-empty").0.clone();
-                    for (osd, d) in copies {
+                    let authoritative = best.expect("non-empty").0;
+                    for (osd, d) in &copies {
                         if d != authoritative {
-                            self.osds[osd as usize]
+                            self.osds[*osd as usize]
                                 .store_mut()
-                                .write(oid, authoritative.clone());
+                                .write(oid, authoritative);
                             fixed += 1;
                         }
                     }
@@ -1144,7 +1144,7 @@ impl Cluster {
                             if stored != &p {
                                 self.osds[osd as usize]
                                     .store_mut()
-                                    .write(oid, Bytes::from(p));
+                                    .write(oid, &p);
                                 fixed += 1;
                             }
                         }
@@ -1165,7 +1165,7 @@ impl Cluster {
             } else {
                 v[0] ^= 0xFF;
             }
-            store.write(oid, Bytes::from(v));
+            store.write(oid, &v);
             true
         } else {
             false

@@ -126,10 +126,10 @@ impl ObjectStore {
     /// existing object's page allocations are reused rather than freed
     /// and reallocated — full-object overwrites (EC shards, replication
     /// full writes) are the store's hottest path.
-    pub fn write(&mut self, id: ObjectId, data: Bytes) -> u64 {
+    pub fn write(&mut self, id: ObjectId, data: &[u8]) -> u64 {
         self.bytes_written += data.len() as u64;
         let obj = self.objects.entry(id).or_default();
-        obj.replace(&data);
+        obj.replace(data);
         obj.version
     }
 
@@ -214,8 +214,8 @@ mod tests {
     fn write_read_version_cycle() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(1, 42);
-        assert_eq!(s.write(id, Bytes::from_static(b"v1")), 1);
-        assert_eq!(s.write(id, Bytes::from_static(b"v2")), 2);
+        assert_eq!(s.write(id, b"v1"), 1);
+        assert_eq!(s.write(id, b"v2"), 2);
         assert_eq!(&s.read(id).unwrap()[..], b"v2");
         assert_eq!(s.version(id), Some(2));
         assert!(s.remove(id));
@@ -226,8 +226,8 @@ mod tests {
     fn write_replaces_whole_object() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(0, 9);
-        s.write(id, Bytes::from(vec![0xAA; 10_000]));
-        s.write(id, Bytes::from_static(b"short"));
+        s.write(id, &[0xAA; 10_000]);
+        s.write(id, b"short");
         assert_eq!(s.peek_len(id), Some(5));
         assert_eq!(&s.read(id).unwrap()[..], b"short");
     }
@@ -271,7 +271,7 @@ mod tests {
     fn read_at_is_sparse() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(0, 2);
-        s.write(id, Bytes::from_static(b"hello"));
+        s.write(id, b"hello");
         let r = s.read_at(id, 3, 6);
         assert_eq!(&r[..], b"lo\0\0\0\0");
         // Absent object reads zeros.
@@ -290,7 +290,7 @@ mod tests {
     fn counters() {
         let mut s = ObjectStore::new();
         let id = ObjectId::new(0, 1);
-        s.write(id, Bytes::from(vec![0u8; 100]));
+        s.write(id, &[0u8; 100]);
         s.read(id);
         s.read_at(id, 0, 50);
         assert_eq!(s.io_counters(), (100, 150));

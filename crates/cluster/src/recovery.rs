@@ -27,7 +27,6 @@
 use crate::cluster::{Cluster, ACK_SAME_SERVER};
 use crate::object::ObjectId;
 use crate::pool::PoolKind;
-use bytes::Bytes;
 use deliba_ec::ReedSolomon;
 use deliba_sim::{SimDuration, SimRng, SimTime, Xoshiro256};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -461,7 +460,7 @@ impl Cluster {
                     self.topology.server_to_server(read_fin, s_from, s_to, len as u64)
                 };
                 let fin = self.osds[dst as usize]
-                    .write_object(arrive, oid, Bytes::from(buf), false)
+                    .write_object(arrive, oid, &buf, false)
                     .expect("destination is up");
                 // A full-object copy makes the destination fresh.
                 self.stale.remove(&(dst, oid));
@@ -550,13 +549,13 @@ impl Cluster {
                 let mut moved = 0u64;
                 for idx in missing_idx {
                     let Some(dst) = targets.next() else { break };
-                    let shard = slots[idx].clone().expect("filled above");
+                    let shard = slots[idx].as_deref().expect("filled above");
                     let len = shard.len() as u64;
                     let arrive =
                         self.topology
                             .client_to_server(gather, self.server_of(dst), len);
                     let w_fin = self.osds[dst as usize]
-                        .write_object(arrive, oid, Bytes::from(shard), false)
+                        .write_object(arrive, oid, shard, false)
                         .expect("destination is up");
                     self.stale.remove(&(dst, oid));
                     self.corrupted.remove(&(dst, oid));
@@ -670,12 +669,12 @@ impl Cluster {
             }
         }
         let auth_idx = best.expect("non-empty").0;
-        let auth = copies[auth_idx].1.clone();
+        let auth = &copies[auth_idx].1;
         let auth_osd = copies[auth_idx].0;
         let mut detected = 0;
         let mut repaired = 0;
         for (osd, d) in &copies {
-            if *d != auth {
+            if d != auth {
                 detected += 1;
                 // Push the authoritative copy to the bad holder.
                 let s_from = self.server_of(auth_osd);
@@ -686,7 +685,7 @@ impl Cluster {
                     self.topology.server_to_server(fin, s_from, s_to, auth.len() as u64)
                 };
                 let w_fin = self.osds[*osd as usize]
-                    .write_object(arrive, oid, Bytes::from(auth.clone()), false)
+                    .write_object(arrive, oid, auth, false)
                     .expect("checked up");
                 fin = fin.max(w_fin);
                 repaired += 1;
@@ -775,7 +774,7 @@ impl Cluster {
                             p.len() as u64,
                         );
                         let w_fin = self.osds[osd as usize]
-                            .write_object(arrive, oid, Bytes::from(p), false)
+                            .write_object(arrive, oid, &p, false)
                             .expect("checked up");
                         fin = fin.max(w_fin);
                         repaired += 1;
@@ -805,7 +804,7 @@ impl Cluster {
                     good.len() as u64,
                 );
                 let w_fin = self.osds[osd as usize]
-                    .write_object(arrive, oid, Bytes::from(good.clone()), false)
+                    .write_object(arrive, oid, &good, false)
                     .expect("checked up");
                 fin = fin.max(w_fin);
                 slots[idx] = Some(good);
@@ -887,6 +886,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use deliba_sim::SimTime;
 
     fn oid_rep(name: u64) -> ObjectId {

@@ -295,6 +295,10 @@ impl EngineConfig {
 /// Image size the benchmarks address (1 GiB working set).
 pub const IMAGE_BYTES: u64 = 1 << 30;
 
+/// FNV-1a offset basis and prime of the payload checksum.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
 /// Outcome of a single I/O attempt (the retry loop's unit of work).
 /// Failed attempts never touch the latency histogram, the stage fold, or
 /// context occupancy — only the final disposition of the op does.
@@ -676,33 +680,50 @@ impl Engine {
     }
 
     /// FNV-1a over little-endian 64-bit words, then the tail bytes.
+    /// The read side's verifier: a read-back must hash to the sum
+    /// [`Engine::payload_for`] folded in while filling the write, and
+    /// this is the same function over the same bytes.
     fn checksum(data: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         let mut words = data.chunks_exact(8);
         for w in words.by_ref() {
             h ^= u64::from_le_bytes(w.try_into().expect("exact chunk"));
-            h = h.wrapping_mul(0x0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         for &b in words.remainder() {
             h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         h
     }
 
     /// Fill the recycled scratch buffer with `len` deterministic payload
-    /// bytes.  Consumes exactly one `next_u64` per started 8-byte chunk —
-    /// the same RNG stream as a fresh allocation would.
-    fn payload_for(&mut self, len: usize) -> Vec<u8> {
+    /// bytes and return it with its [`Engine::checksum`], folded in word
+    /// by word as the fill writes it, so the payload is never re-read.
+    /// Consumes exactly one `next_u64` per started 8-byte chunk — the
+    /// same RNG stream as a fresh allocation would.
+    fn payload_for(&mut self, len: usize) -> (Vec<u8>, u64) {
         let mut v = std::mem::take(&mut self.scratch);
         v.clear();
         v.resize(len, 0);
-        for chunk in v.chunks_mut(8) {
-            let word = self.rng.next_u64().to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&word[..n]);
+        let mut h = FNV_OFFSET;
+        let mut words = v.chunks_exact_mut(8);
+        for chunk in words.by_ref() {
+            let word = self.rng.next_u64();
+            chunk.copy_from_slice(&word.to_le_bytes());
+            h ^= word;
+            h = h.wrapping_mul(FNV_PRIME);
         }
-        v
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
+            let word = self.rng.next_u64().to_le_bytes();
+            tail.copy_from_slice(&word[..tail.len()]);
+            for &b in tail.iter() {
+                h ^= b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        (v, h)
     }
 
     /// Per-I/O sub-object for EC mode: the paper's accelerators encode
@@ -1028,7 +1049,7 @@ impl Engine {
 
         // --- PCIe + card + FPGA network stack ---------------------------
         let mut ec_shards: Option<(Vec<Vec<u8>>, usize)> = None;
-        let payload = write.then(|| self.payload_for(op.len as usize));
+        let (payload, write_sum) = write.then(|| self.payload_for(op.len as usize)).unzip();
         if use_fpga {
             // Payload (writes) or command (reads) crosses PCIe.
             let dma_bytes = if write { bytes } else { 256 };
@@ -1141,7 +1162,7 @@ impl Engine {
                 let data = payload.as_ref().expect("write has payload");
                 pending_write_sum = Some((
                     (obj.name, (op.offset % self.image.object_size) as u32),
-                    Self::checksum(data),
+                    write_sum.expect("write has payload"),
                 ));
                 self.cluster
                     .write_replicated_at(t, obj, obj_off as usize, data, op.random)
@@ -1174,8 +1195,7 @@ impl Engine {
             (Mode::ErasureCoding, true) => {
                 let (shards, orig_len) = ec_shards.expect("EC write encoded");
                 let oid = self.ec_oid(obj.name, op.offset);
-                let data = payload.as_ref().expect("write has payload");
-                pending_write_sum = Some(((oid.name, 0), Self::checksum(data)));
+                pending_write_sum = Some(((oid.name, 0), write_sum.expect("write has payload")));
                 self.cluster
                     .write_ec_shards(t, oid, orig_len, shards, op.random)
             }
@@ -1784,6 +1804,35 @@ mod tests {
         let r = e.run_trace(vec![ops], 1);
         assert_eq!(r.ops, 100);
         assert_eq!(e.verify_failures(), 0, "read-back must match writes");
+    }
+
+    /// The pre-fusion fill: one `next_u64` per started 8-byte chunk, its
+    /// low bytes copied in.  `Engine::payload_for` must reproduce it.
+    fn reference_fill(rng: &mut Xoshiro256, len: usize) -> Vec<u8> {
+        let mut v = vec![0u8; len];
+        for chunk in v.chunks_mut(8) {
+            let word = rng.next_u64().to_le_bytes();
+            let n = chunk.len();
+            chunk.copy_from_slice(&word[..n]);
+        }
+        v
+    }
+
+    #[test]
+    fn fused_fill_matches_reference_fill_and_checksum() {
+        let lens = [0, 1, 7, 8, 9, 4095, 4096, 131_072, 131_075];
+        let mut e = Engine::new(EngineConfig::new(Generation::DeLiBAK, true, Mode::Replication));
+        // Ascending then descending, so the recycled scratch buffer is
+        // both grown and shrunk between fills.
+        for &len in lens.iter().chain(lens.iter().rev()) {
+            let mut rng = e.rng.clone();
+            let want = reference_fill(&mut rng, len);
+            let (got, sum) = e.payload_for(len);
+            assert_eq!(got, want, "len {len}: payload bytes");
+            assert_eq!(e.rng.next_u64(), rng.next_u64(), "len {len}: RNG position");
+            assert_eq!(sum, Engine::checksum(&got), "len {len}: fused checksum");
+            e.scratch = got;
+        }
     }
 
     #[test]
